@@ -4,6 +4,8 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(test)]
+use std::sync::Barrier;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hotspots_scenario::{run_spec, HotspotsError, RunContext, ScenarioSpec};
@@ -61,13 +63,36 @@ struct ServeStats {
 /// The scenario server. Shareable across client threads (`&self`
 /// methods throughout): the store sits behind a mutex, in-flight
 /// dedupe behind another, and the pool hands results back through
-/// per-run slots.
+/// per-run slots. Whoever holds both locks takes the store's first.
 #[derive(Debug)]
 pub struct Server {
     store: Mutex<ResultStore>,
     inflight: Mutex<BTreeMap<u64, Arc<RunSlot>>>,
     pool: RunPool,
     stats: ServeStats,
+    /// Holds the next submission that reaches the gate's step.
+    #[cfg(test)]
+    gate: Mutex<Option<Arc<Gate>>>,
+}
+
+/// A point in [`Server::handle_submit`] where a test can hold a thread.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The submission has registered its run (or joined one).
+    Claimed,
+    /// The registering submission has its result and has not stored it.
+    Persisting,
+}
+
+/// A one-shot interleaving hook: the first thread to reach `step` meets
+/// the test at `arrived`, then waits for it at `release`.
+#[cfg(test)]
+#[derive(Debug)]
+struct Gate {
+    step: Step,
+    arrived: Barrier,
+    release: Barrier,
 }
 
 impl Server {
@@ -84,6 +109,8 @@ impl Server {
             inflight: Mutex::new(BTreeMap::new()),
             pool: RunPool::new(config.workers, config.queue_depth, config.threads),
             stats: ServeStats::default(),
+            #[cfg(test)]
+            gate: Mutex::new(None),
         })
     }
 
@@ -122,23 +149,24 @@ impl Server {
         let hash_text = format_hash(hash);
         let name = spec.meta.name.clone();
 
-        // memoized?
-        match lock(&self.store).get(hash) {
-            Ok(Some(report)) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                return protocol::ok_submit(&hash_text, report.trim_end());
+        // Lookup-or-register is one critical section (store lock, then
+        // in-flight lock): a submission that misses the store finds the
+        // slot of an identical run, or registers its own.
+        let (slot, leader) = {
+            let mut store = lock(&self.store);
+            match store.get(hash) {
+                Ok(Some(report)) => {
+                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    return protocol::ok_submit(&hash_text, report.trim_end());
+                }
+                Ok(None) => {
+                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => return protocol::error(ErrorKind::Runtime, &e.to_string()),
             }
-            Ok(None) => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => return protocol::error(ErrorKind::Runtime, &e.to_string()),
-        }
-
-        // join an identical in-flight run, or dispatch one
-        let slot = {
             let mut inflight = lock(&self.inflight);
             if let Some(slot) = inflight.get(&hash) {
-                Arc::clone(slot)
+                (Arc::clone(slot), false)
             } else {
                 let slot = Arc::new(RunSlot::new());
                 let job = RunJob {
@@ -155,25 +183,50 @@ impl Server {
                 }
                 self.stats.runs.fetch_add(1, Ordering::Relaxed);
                 inflight.insert(hash, Arc::clone(&slot));
-                slot
+                (slot, true)
             }
         };
+        #[cfg(test)]
+        self.pause(Step::Claimed);
 
         let result = slot.wait();
-        lock(&self.inflight).remove(&hash);
-        match result {
-            Ok(report) => {
-                // first finisher persists; duplicates are no-ops with
-                // identical bytes either way
-                let mut store = lock(&self.store);
-                if !store.contains(hash) {
-                    if let Err(e) = store.insert(hash, &name, &canonical, &report) {
-                        return protocol::error(ErrorKind::Runtime, &e.to_string());
-                    }
-                }
-                protocol::ok_submit(&hash_text, report.trim_end())
+        if leader {
+            #[cfg(test)]
+            self.pause(Step::Persisting);
+            // The registering submission persists the report, and only
+            // then retires the slot: every later submission finds one
+            // or the other.
+            let mut store = lock(&self.store);
+            let persisted = match &result {
+                Ok(report) => store.insert(hash, &name, &canonical, report),
+                Err(_) => Ok(()),
+            };
+            lock(&self.inflight).remove(&hash);
+            drop(store);
+            if let Err(e) = persisted {
+                return protocol::error(ErrorKind::Runtime, &e.to_string());
             }
+        }
+        match result {
+            Ok(report) => protocol::ok_submit(&hash_text, report.trim_end()),
             Err(message) => protocol::error(ErrorKind::Runtime, &message),
+        }
+    }
+
+    /// Blocks at `step` if a test armed the gate for it.
+    #[cfg(test)]
+    fn pause(&self, step: Step) {
+        let gate = {
+            let mut armed = lock(&self.gate);
+            if armed.as_ref().is_some_and(|gate| gate.step == step) {
+                armed.take()
+            } else {
+                None
+            }
+        };
+        if let Some(gate) = gate {
+            gate.arrived.wait();
+            gate.release.wait();
         }
     }
 
@@ -257,4 +310,62 @@ pub fn check(config: &ServeConfig) -> Result<Vec<CheckOutcome>, HotspotsError> {
         });
     }
     Ok(outcomes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread;
+
+    #[test]
+    fn identical_submissions_coalesce_at_every_interleaving() {
+        // A tiny engine-path spec (64 hosts, 5 simulated seconds).
+        let spec = "[meta]\nname = \"serve-gate\"\n\n[worm]\nkind = \"uniform\"\n\n\
+             [population]\nkind = \"range\"\nbase = \"10.0.0.0\"\ncount = 64\nstride = 1\n\n\
+             [sim]\nscan_rate = 10.0\nseeds = 2\ndt = 1.0\nmax_time = 5.0\nrng_seed = 7\nthreads = 1\n";
+        let mut request = String::from("{\"op\":\"submit\",\"spec\":");
+        hotspots_telemetry::json::write_str(&mut request, spec);
+        request.push('}');
+
+        // Hold the first submission while its run is registered, then
+        // after the run finished but before its report is stored, and
+        // send the second one in that window.
+        for (label, step) in [("claimed", Step::Claimed), ("persisting", Step::Persisting)] {
+            let dir = std::env::temp_dir().join(format!(
+                "hotspots-serve-gate-{label}-{}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let config = ServeConfig {
+                cache_dir: dir.clone(),
+                ..ServeConfig::default()
+            };
+            let server = Arc::new(Server::open(&config).expect("open"));
+            let gate = Arc::new(Gate {
+                step,
+                arrived: Barrier::new(2),
+                release: Barrier::new(2),
+            });
+            *lock(&server.gate) = Some(Arc::clone(&gate));
+
+            let first = {
+                let server = Arc::clone(&server);
+                let request = request.clone();
+                thread::spawn(move || server.handle_line(&request))
+            };
+            gate.arrived.wait();
+            let second = server.handle_line(&request);
+            gate.release.wait();
+            let first = first.join().expect("first client");
+
+            assert_eq!(first, second, "{label}: responses differ");
+            assert!(first.starts_with("{\"ok\":true,"), "{label}: {first}");
+            assert_eq!(
+                server.handle_line("{\"op\":\"stats\"}"),
+                "{\"ok\":true,\"entries\":1,\"hits\":0,\"misses\":2,\"runs\":1,\"rejected\":0,\"evictions\":0}",
+                "{label}: two identical submissions must cost one run"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

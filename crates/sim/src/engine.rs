@@ -17,7 +17,7 @@ use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
 
 use crate::bitset::HostBits;
-use crate::executor::{InfectedHost, ShardExecutor, StepCtx, StepPipeline};
+use crate::executor::{InfectedHost, ShardExecutor, StepCtx, StepPipeline, CHUNK_TARGETS};
 use crate::observers::SimObserver;
 use crate::population::Population;
 use crate::worms::WormModel;
@@ -328,6 +328,18 @@ impl Engine {
         executor: &mut ShardExecutor,
         observer: &mut O,
     ) -> SimResult {
+        self.run_chunked(executor, observer, CHUNK_TARGETS)
+    }
+
+    /// [`Engine::run_on`] with the probe stages driven in chunks of
+    /// `chunk_targets` targets; only tests pass anything but
+    /// [`CHUNK_TARGETS`].
+    pub(crate) fn run_chunked<O: SimObserver>(
+        &mut self,
+        executor: &mut ShardExecutor,
+        observer: &mut O,
+        chunk_targets: usize,
+    ) -> SimResult {
         let n = self.population.len();
         let service = self.worm.service();
         let latency = self.env.latency();
@@ -390,7 +402,7 @@ impl Engine {
         }
         curve.push(0.0, ever_infected as f64 / n as f64);
 
-        let mut pipeline = StepPipeline::new(self.config.threads);
+        let mut pipeline = StepPipeline::new(self.config.threads, chunk_targets);
 
         let mut time = 0.0;
         let mut newly_infected: Vec<usize> = Vec::new();
@@ -1174,5 +1186,81 @@ mod tests {
         let mut counter = Counter::default();
         let result = engine.run(&mut counter);
         assert_eq!(counter.0, result.probes_sent);
+    }
+
+    #[test]
+    fn chunk_boundaries_never_change_a_run() {
+        use hotspots_netmodel::{FaultEvent, FaultKind, FaultPlan, FaultWindow, LossModel};
+
+        /// Every probe the engine emits, in emission order.
+        #[derive(Default)]
+        struct ProbeLog(Vec<(Ip, Delivery)>);
+        impl SimObserver for ProbeLog {
+            fn on_probe(&mut self, _t: f64, src: Ip, delivery: Delivery) {
+                self.0.push((src, delivery));
+            }
+        }
+
+        // NATed, lossy and path-degraded, so `route_batch` draws from
+        // the host RNGs; dispersed rates put bursts on both sides of
+        // the chunk bound.
+        let engine = |threads: usize| {
+            let mut env = Environment::new();
+            env.set_loss(LossModel::new(0.2).unwrap());
+            let mut plan = FaultPlan::new();
+            plan.push(FaultEvent::new(
+                FaultKind::DegradedLoss {
+                    prefix: "12.12.0.0/17".parse().unwrap(),
+                    rate: 0.3,
+                },
+                FaultWindow::new(0.0, 1e9),
+            ));
+            env.set_faults(plan);
+            let publics: Vec<Ip> = (0..300u32).map(|i| Ip::new(0x0c0c_0000 + i * 7)).collect();
+            let loci = apply_nat(&mut env, &publics, 0.3, &mut StdRng::seed_from_u64(11));
+            let config = SimConfig {
+                scan_rate: 600.0,
+                scan_rate_sigma: 1.0,
+                seeds: 20,
+                dt: 1.0,
+                max_time: 10.0,
+                stop_at_fraction: None,
+                rng_seed: 17,
+                threads,
+                ..SimConfig::default()
+            };
+            Engine::new(
+                config,
+                Population::from_loci(loci),
+                env,
+                Box::new(CodeRed2Worm),
+            )
+        };
+        // `threads = 4` shards across the pool under `parallel` and runs
+        // serially without it.
+        for threads in [1, 4] {
+            let run = |chunk_targets: usize| {
+                let mut engine = engine(threads);
+                let mut log = ProbeLog::default();
+                let mut executor = ShardExecutor::new(threads);
+                let result = engine.run_chunked(&mut executor, &mut log, chunk_targets);
+                let bursts: Vec<f64> = (0..result.population)
+                    .filter(|&id| result.infection_times[id].is_some())
+                    .map(|id| engine.spawn_host(id).probes_per_step)
+                    .collect();
+                (result, log.0, bursts)
+            };
+            // chunk = 1 target: every host is its own chunk, the
+            // per-host shape of the pipeline
+            let (per_host, per_host_probes, bursts) = run(1);
+            let (chunked, chunked_probes, _) = run(CHUNK_TARGETS);
+            let limit = CHUNK_TARGETS as f64;
+            assert!(bursts.iter().any(|&b| b < limit) && bursts.iter().any(|&b| b > limit));
+            assert!(per_host.infected > 100, "the outbreak must spread");
+            assert_eq!(per_host.ledger, chunked.ledger);
+            assert_eq!(per_host.infection_times, chunked.infection_times);
+            assert_eq!(per_host_probes.len() as u64, per_host.probes_sent);
+            assert!(per_host_probes == chunked_probes, "probe sequences differ");
+        }
     }
 }

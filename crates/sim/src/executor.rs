@@ -60,10 +60,20 @@ pub(crate) struct InfectedHost {
     pub(crate) probe_credit: f64,
 }
 
+/// Target count at which [`drive_shard`] closes a chunk of consecutive
+/// hosts and runs it through the stages. It bounds the staging buffers
+/// (a host whose burst alone exceeds it forms its own chunk) and sets
+/// the telemetry clock granularity: four reads per chunk, not per host.
+pub(crate) const CHUNK_TARGETS: usize = 1024;
+
 /// Reusable per-shard scratch for one step of the staged probe pipeline.
 pub(crate) struct ProbeBatch {
+    /// The current chunk's targets, host after host.
     pub(crate) targets: Vec<Ip>,
+    /// The current chunk's verdicts, one per target.
     pub(crate) deliveries: Vec<Delivery>,
+    /// Each host's burst in the current chunk (0 = the host is idle).
+    bursts: Vec<usize>,
     pub(crate) probes: Vec<(Ip, Delivery)>,
     pub(crate) candidates: Vec<usize>,
     pub(crate) ledger: DeliveryLedger,
@@ -80,6 +90,7 @@ impl ProbeBatch {
         ProbeBatch {
             targets: Vec::new(),
             deliveries: Vec::new(),
+            bursts: Vec::new(),
             probes: Vec::new(),
             candidates: Vec::new(),
             ledger: DeliveryLedger::new(),
@@ -119,63 +130,112 @@ pub(crate) struct StepCtx {
 /// victim-lookup stages, accumulating results in the shard's scratch
 /// batch. Touches only its own hosts and batch, so shards run on
 /// independent threads without synchronization.
-pub(crate) fn drive_shard(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch) {
-    for host in hosts {
+///
+/// Consecutive hosts are grouped into chunks of at most `chunk_targets`
+/// targets (a host whose burst is larger forms its own chunk), and each
+/// chunk runs stage by stage. Every host still consumes exactly its own
+/// generator and RNG draws, in host order, so the probe and candidate
+/// sequences do not depend on `chunk_targets`; the engine passes
+/// [`CHUNK_TARGETS`].
+pub(crate) fn drive_shard(
+    ctx: &StepCtx,
+    hosts: &mut [InfectedHost],
+    batch: &mut ProbeBatch,
+    chunk_targets: usize,
+) {
+    batch.bursts.clear();
+    let mut start = 0;
+    let mut pending = 0;
+    for i in 0..hosts.len() {
+        let host = &mut hosts[i];
         host.probe_credit += host.probes_per_step;
         let burst = host.probe_credit as usize;
-        if burst == 0 {
-            continue;
-        }
         host.probe_credit -= burst as f64;
+        if pending > 0 && pending + burst > chunk_targets {
+            drive_chunk(ctx, &mut hosts[start..i], batch);
+            start = i;
+            pending = 0;
+        }
+        batch.bursts.push(burst);
+        pending += burst;
+        if pending >= chunk_targets {
+            drive_chunk(ctx, &mut hosts[start..=i], batch);
+            start = i + 1;
+            pending = 0;
+        }
+    }
+    if pending > 0 {
+        drive_chunk(ctx, &mut hosts[start..], batch);
+    }
+}
 
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let t0 = Instant::now();
-        batch.targets.clear();
-        host.generator.fill_targets(burst, &mut batch.targets);
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let t1 = Instant::now();
-        batch.deliveries.clear();
-        ctx.env.route_batch(
-            host.locus,
-            &batch.targets,
-            ctx.service,
-            ctx.time,
-            &mut host.rng,
-            &mut batch.deliveries,
-            &mut batch.ledger,
-        );
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let t2 = Instant::now();
-        // Two passes over the verdicts: candidate detection (branchy,
-        // but misses short-circuit at the /16 presence bitmap), then
-        // one bulk append of the probe records — a TrustedLen extend
-        // compiles to a single reserve + streaming writes instead of a
-        // per-probe capacity check.
-        for &delivery in &batch.deliveries {
-            let victim = match delivery {
-                Delivery::Public(ip) => ctx.population.find_public(ip),
-                Delivery::Local { realm, ip } => ctx.population.find_private(realm, ip),
-                Delivery::Dropped(_) => None,
-            };
-            if let Some(v) = victim {
-                if !ctx.infected.get(v) && !ctx.removed.get(v) && !ctx.pending.get(v) {
-                    batch.candidates.push(v);
-                }
+/// Runs one chunk (`hosts`, with their bursts in `batch.bursts`) through
+/// the three stages and clears the bursts.
+fn drive_chunk(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch) {
+    #[cfg(feature = "telemetry")]
+    #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
+    let t0 = Instant::now();
+    batch.targets.clear();
+    for (host, &burst) in hosts.iter_mut().zip(&batch.bursts) {
+        if burst > 0 {
+            host.generator.fill_targets(burst, &mut batch.targets);
+        }
+    }
+    #[cfg(feature = "telemetry")]
+    #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
+    let t1 = Instant::now();
+    batch.deliveries.clear();
+    let mut from = 0;
+    for (host, &burst) in hosts.iter_mut().zip(&batch.bursts) {
+        if burst > 0 {
+            ctx.env.route_batch(
+                host.locus,
+                &batch.targets[from..from + burst],
+                ctx.service,
+                ctx.time,
+                &mut host.rng,
+                &mut batch.deliveries,
+                &mut batch.ledger,
+            );
+            from += burst;
+        }
+    }
+    #[cfg(feature = "telemetry")]
+    #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
+    let t2 = Instant::now();
+    // Two passes over the verdicts: candidate detection (branchy,
+    // but misses short-circuit at the /16 presence bitmap), then
+    // one bulk append of the probe records per host — a TrustedLen
+    // extend compiles to a single reserve + streaming writes instead
+    // of a per-probe capacity check.
+    for &delivery in &batch.deliveries {
+        let victim = match delivery {
+            Delivery::Public(ip) => ctx.population.find_public(ip),
+            Delivery::Local { realm, ip } => ctx.population.find_private(realm, ip),
+            Delivery::Dropped(_) => None,
+        };
+        if let Some(v) = victim {
+            if !ctx.infected.get(v) && !ctx.removed.get(v) && !ctx.pending.get(v) {
+                batch.candidates.push(v);
             }
         }
+    }
+    let mut from = 0;
+    for (host, &burst) in hosts.iter().zip(&batch.bursts) {
         let src = host.public_src;
-        batch
-            .probes
-            .extend(batch.deliveries.iter().map(|&d| (src, d)));
-        #[cfg(feature = "telemetry")]
-        {
-            batch.target_gen += t1 - t0;
-            batch.routing += t2 - t1;
-            batch.lookup += t2.elapsed();
-        }
+        batch.probes.extend(
+            batch.deliveries[from..from + burst]
+                .iter()
+                .map(|&d| (src, d)),
+        );
+        from += burst;
+    }
+    batch.bursts.clear();
+    #[cfg(feature = "telemetry")]
+    {
+        batch.target_gen += t1 - t0;
+        batch.routing += t2 - t1;
+        batch.lookup += t2.elapsed();
     }
 }
 
@@ -186,6 +246,7 @@ struct ShardJob {
     hosts: Vec<InfectedHost>,
     batch: ProbeBatch,
     ctx: StepCtx,
+    chunk_targets: usize,
     /// When the driving thread dispatched the job (wake-latency
     /// accounting).
     #[cfg(feature = "telemetry")]
@@ -238,10 +299,11 @@ fn worker_loop(jobs: Receiver<ShardJob>, done: Sender<ShardDone>) {
             mut hosts,
             mut batch,
             ctx,
+            chunk_targets,
             ..
         } = job;
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive_shard(&ctx, &mut hosts, &mut batch);
+            drive_shard(&ctx, &mut hosts, &mut batch, chunk_targets);
         }))
         .err();
         // Drop the ctx Arc clones before signalling completion: the
@@ -378,6 +440,8 @@ pub(crate) struct StepPipeline {
     /// Per-shard scratch, index 0 = the driving thread's shard. The
     /// merge loop walks `batches[..shard_count]` in index order.
     batches: Vec<ProbeBatch>,
+    /// [`drive_shard`]'s chunk bound.
+    chunk_targets: usize,
     #[cfg(feature = "parallel")]
     carriers: Vec<Vec<InfectedHost>>,
     #[cfg(feature = "parallel")]
@@ -395,8 +459,9 @@ pub(crate) struct StepPipeline {
 }
 
 impl StepPipeline {
-    /// A pipeline sized for `shards` concurrent shards (at least 1).
-    pub(crate) fn new(shards: usize) -> StepPipeline {
+    /// A pipeline sized for `shards` concurrent shards (at least 1),
+    /// driving them in chunks of `chunk_targets` targets.
+    pub(crate) fn new(shards: usize, chunk_targets: usize) -> StepPipeline {
         let shards = if cfg!(feature = "parallel") {
             shards.max(1)
         } else {
@@ -404,6 +469,7 @@ impl StepPipeline {
         };
         StepPipeline {
             batches: (0..shards).map(|_| ProbeBatch::new()).collect(),
+            chunk_targets,
             #[cfg(feature = "parallel")]
             carriers: (0..shards).map(|_| Vec::new()).collect(),
             #[cfg(feature = "parallel")]
@@ -463,7 +529,7 @@ impl StepPipeline {
             return self.run_step_pooled(executor, ctx, active, shards);
         }
         let _ = shards;
-        drive_shard(&ctx, active, &mut self.batches[0]);
+        drive_shard(&ctx, active, &mut self.batches[0], self.chunk_targets);
         1
     }
 
@@ -494,6 +560,7 @@ impl StepPipeline {
                 hosts,
                 batch,
                 ctx: ctx.clone(),
+                chunk_targets: self.chunk_targets,
                 #[cfg(feature = "telemetry")]
                 sent_at,
             };
@@ -512,14 +579,14 @@ impl StepPipeline {
                         ctx,
                         ..
                     } = job;
-                    drive_shard(&ctx, &mut hosts, &mut batch);
+                    drive_shard(&ctx, &mut hosts, &mut batch, self.chunk_targets);
                     self.slots[shard] = Some((hosts, batch));
                 }
             }
         }
         // Shard 0 is whatever remains of `active`; driving it here
         // overlaps with the workers.
-        drive_shard(&ctx, active, &mut self.batches[0]);
+        drive_shard(&ctx, active, &mut self.batches[0], self.chunk_targets);
         drop(ctx);
 
         while outstanding > 0 {
@@ -579,7 +646,7 @@ mod tests {
 
     #[test]
     fn pipeline_always_has_a_shard_zero() {
-        let p = StepPipeline::new(0);
+        let p = StepPipeline::new(0, CHUNK_TARGETS);
         assert_eq!(p.batches.len(), 1);
     }
 }
