@@ -96,11 +96,19 @@ fn figures(c: &mut Criterion) {
             stop_at_fraction: 0.8,
             ..detection::DetectionStudy::default()
         };
+        // the three Figure 5(c) placements over one outbreak, as the
+        // preset runs them
+        let placements = [
+            detection::Placement::Random { sensors: 300 },
+            detection::Placement::TopSlash8s { sensors: 300, k: 3 },
+            detection::Placement::Inside192,
+        ];
         b.iter(|| {
-            black_box(detection::nat_run(
+            black_box(detection::nat_runs(
                 &study,
                 0.15,
-                detection::Placement::Inside192,
+                placements,
+                detection::NatTopology::Shared,
             ))
         });
     });

@@ -250,6 +250,23 @@ pub fn nat_run_with_topology(
     placement_kind: Placement,
     topology: NatTopology,
 ) -> NatRun {
+    let [run] = nat_runs(study, nat_fraction, [placement_kind], topology);
+    run
+}
+
+/// Runs [`nat_run_with_topology`] for every placement against one
+/// shared outbreak; each result equals that placement's own run.
+///
+/// The population, NAT wiring and engine are the same for every
+/// placement, and sensor fields only watch, so one engine feeds all
+/// the fields. Each placement draws its sensors from a clone of the
+/// post-NAT random stream — the state its own run would start from.
+pub fn nat_runs<const N: usize>(
+    study: &DetectionStudy,
+    nat_fraction: f64,
+    placements: [Placement; N],
+    topology: NatTopology,
+) -> [NatRun; N] {
     let population_addrs = study.draw_population();
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0xa117);
     let mut env = Environment::new();
@@ -259,31 +276,34 @@ pub fn nat_run_with_topology(
         }
         NatTopology::Isolated => apply_nat(&mut env, &population_addrs, nat_fraction, &mut rng),
     };
-    let sensors = placement_kind.build(&population_addrs, &mut rng);
-    let field = DetectorField::new(sensors, study.alert_threshold);
-    let mut observer = FieldObserver::new(field);
+    let mut observers = placements.map(|placement_kind| {
+        let sensors = placement_kind.build(&population_addrs, &mut rng.clone());
+        FieldObserver::new(DetectorField::new(sensors, study.alert_threshold))
+    });
     let mut engine = Engine::new(
         study.sim_config(),
         Population::from_loci(loci),
         env,
         Box::new(CodeRed2Worm),
     );
-    let result = engine.run(&mut observer);
-    let field = observer.into_field();
-    let alert_curve = field.alert_curve(format!("{placement_kind:?} alerts"));
+    let result = engine.run(&mut observers.as_mut_slice());
     let t20 = result.infection_curve.time_to_reach(0.2);
-    let alerted_at_20pct_infected = t20.map_or(0.0, |t| alert_curve.value_at(t));
-    NatRun {
-        placement: placement_kind,
-        infection_curve: result.infection_curve,
-        sensors: field.len(),
-        sensors_alerted: field.alerted(),
-        alert_curve,
-        alerted_at_20pct_infected,
-        infected_hosts: result.infected as u64,
-        ledger: result.ledger,
-        sim_seconds: result.elapsed,
-    }
+    std::array::from_fn(|i| {
+        let (placement_kind, field) = (placements[i], observers[i].field());
+        let alert_curve = field.alert_curve(format!("{placement_kind:?} alerts"));
+        let alerted_at_20pct_infected = t20.map_or(0.0, |t| alert_curve.value_at(t));
+        NatRun {
+            placement: placement_kind,
+            infection_curve: result.infection_curve.clone(),
+            sensors: field.len(),
+            sensors_alerted: field.alerted(),
+            alert_curve,
+            alerted_at_20pct_infected,
+            infected_hosts: result.infected as u64,
+            ledger: result.ledger,
+            sim_seconds: result.elapsed,
+        }
+    })
 }
 
 #[cfg(test)]

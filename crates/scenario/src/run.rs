@@ -14,7 +14,7 @@ use std::sync::{Mutex, PoisonError};
 use hotspots::scenarios::blaster::{sources_by_block, BlasterStudy};
 use hotspots::scenarios::codered::{quarantine_run, sources_by_block_accounted, CodeRedStudy};
 use hotspots::scenarios::detection::{
-    hitlist_runs, nat_run, nat_run_with_topology, DetectionStudy, HitListRun, NatRun, NatTopology,
+    hitlist_runs, nat_run_with_topology, nat_runs, DetectionStudy, HitListRun, NatRun, NatTopology,
     Placement,
 };
 use hotspots::scenarios::filtering::{table2_with_accounting, FilteringStudy, Table2Row};
@@ -692,7 +692,7 @@ fn run_study(
         } => {
             let study = detection_study(detection)?;
             let sensors = spec_usize("study.sensors", *sensors)?;
-            let placements = vec![
+            let placements = [
                 Placement::Random { sensors },
                 Placement::TopSlash8s {
                     sensors,
@@ -700,7 +700,8 @@ fn run_study(
                 },
                 Placement::Inside192,
             ];
-            let runs = runset.run(placements, |p| nat_run(&study, *nat_fraction, p))?;
+            // the placements watch one shared outbreak
+            let runs = nat_runs(&study, *nat_fraction, placements, NatTopology::Shared);
             out.config("population", study.population_size())
                 .config("nat_fraction", nat_fraction)
                 .config("placements", "Random,TopSlash8s,Inside192");
@@ -716,7 +717,7 @@ fn run_study(
             Ok(Outcome::NatDetection {
                 study,
                 nat_fraction: *nat_fraction,
-                runs,
+                runs: runs.into(),
             })
         }
         StudySpec::BotCommands {
@@ -921,37 +922,40 @@ fn run_ablations(
         ("TCP worm (CodeRed-style)", Service::CODERED_HTTP),
         ("UDP worm (Slammer-style)", Service::SLAMMER_SQL),
     ] {
-        for mode in [SensorMode::Active, SensorMode::Passive] {
-            let field = DetectorField::with_mode(sensors.clone(), 5, mode);
-            let mut observer = FieldObserver::with_service(field, service);
-            let config = SimConfig {
-                scan_rate: 20.0,
-                seeds: 10,
-                max_time: sensor_max_time,
-                stop_at_fraction: Some(0.9),
-                ..SimConfig::default()
-            };
-            // worm targets 66.66/16 (where hosts are NOT — pure noise
-            // toward the sensors) plus the host /16
-            let both = HitList::new(vec![
-                "66.66.0.0/16".parse().expect("valid"),
-                "66.67.0.0/16".parse().expect("valid"),
-            ])
-            .expect("non-empty hit-list");
-            let mut engine = Engine::new(
-                config,
-                Population::from_public(addrs.iter().map(|ip| Ip::new(ip.value() | 0x0001_0000))),
-                Environment::new(),
-                Box::new(HitListWorm::new(both).with_service(service)),
-            );
-            let result = engine.run(&mut observer);
+        let modes = [SensorMode::Active, SensorMode::Passive];
+        // both modes' fields watch one outbreak per transport
+        let mut observers = modes.map(|mode| {
+            FieldObserver::with_service(DetectorField::with_mode(sensors.clone(), 5, mode), service)
+        });
+        let config = SimConfig {
+            scan_rate: 20.0,
+            seeds: 10,
+            max_time: sensor_max_time,
+            stop_at_fraction: Some(0.9),
+            ..SimConfig::default()
+        };
+        // worm targets 66.66/16 (where hosts are NOT — pure noise
+        // toward the sensors) plus the host /16
+        let both = HitList::new(vec![
+            "66.66.0.0/16".parse().expect("valid"),
+            "66.67.0.0/16".parse().expect("valid"),
+        ])
+        .expect("non-empty hit-list");
+        let mut engine = Engine::new(
+            config,
+            Population::from_public(addrs.iter().map(|ip| Ip::new(ip.value() | 0x0001_0000))),
+            Environment::new(),
+            Box::new(HitListWorm::new(both).with_service(service)),
+        );
+        let result = engine.run(&mut observers.as_mut_slice());
+        // one fold per mode: the report still accounts a run per field
+        for (mode, observer) in modes.into_iter().zip(&observers) {
             fold_sim_result(out, &result);
-            let field = observer.into_field();
             sensor.push(SensorModeRun {
                 transport: proto_name.to_owned(),
                 mode,
-                alerted: field.alerted(),
-                sensors: field.len(),
+                alerted: observer.field().alerted(),
+                sensors: observer.field().len(),
             });
         }
     }

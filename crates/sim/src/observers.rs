@@ -9,8 +9,14 @@ use hotspots_telescope::{DetectorField, Observatory};
 /// A passive observer of the outbreak's probe and infection stream.
 ///
 /// The engine is generic over its observer, so observation costs nothing
-/// when unused ([`NullObserver`]) and composes by nesting (tuples of
-/// observers are observers).
+/// when unused ([`NullObserver`]) and composes by nesting (tuples and
+/// slices of observers are observers).
+///
+/// Observers must not influence a run: the hooks return nothing and the
+/// engine consumes no randomness on their behalf, so a run's outcome is
+/// the same whatever watches it. Several observers may therefore share
+/// one outbreak — Figure 5(c) runs one engine for all its sensor
+/// placements — instead of replaying it once per observer.
 pub trait SimObserver {
     /// Called for every probe after routing: the source as seen on the
     /// wire and the delivery verdict.
@@ -98,6 +104,22 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     fn on_infection(&mut self, time: f64, host: usize, locus: Locus) {
         self.0.on_infection(time, host, locus);
         self.1.on_infection(time, host, locus);
+    }
+}
+
+/// Each event reaches the elements in order, like a pair's; batches
+/// arrive probe by probe through the default `on_probe_batch`.
+impl<O: SimObserver> SimObserver for [O] {
+    fn on_probe(&mut self, time: f64, public_src: Ip, delivery: Delivery) {
+        for observer in self.iter_mut() {
+            observer.on_probe(time, public_src, delivery);
+        }
+    }
+
+    fn on_infection(&mut self, time: f64, host: usize, locus: Locus) {
+        for observer in self.iter_mut() {
+            observer.on_infection(time, host, locus);
+        }
     }
 }
 
@@ -236,6 +258,24 @@ mod tests {
         pair.on_probe(0.0, Ip::MIN, Delivery::Dropped(DropReason::PacketLoss));
         assert_eq!(pair.0.dropped(DropReason::PacketLoss), 1);
         assert_eq!(pair.1.dropped(DropReason::PacketLoss), 1);
+    }
+
+    #[test]
+    fn slices_hand_every_probe_of_a_batch_to_each_element() {
+        let mut tallies = [DropTally::new(), DropTally::new()];
+        let probes = [
+            (Ip::MIN, Delivery::Public(Ip::MAX)),
+            (Ip::MIN, Delivery::Dropped(DropReason::PacketLoss)),
+        ];
+        let mut ledger = DeliveryLedger::default();
+        for &(_, delivery) in &probes {
+            ledger.record(delivery);
+        }
+        tallies.as_mut_slice().on_probe_batch(1.0, &probes, &ledger);
+        for tally in &tallies {
+            assert_eq!(tally.delivered(), 1);
+            assert_eq!(tally.dropped(DropReason::PacketLoss), 1);
+        }
     }
 
     #[test]

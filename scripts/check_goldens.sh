@@ -5,7 +5,8 @@
 # normalizes the JSONL run report (host-timing fields stripped), and
 # diffs it against the checked-in golden under results/golden/. Any
 # drift in probe accounting, infections, config echo, or population
-# totals fails the check.
+# totals fails the check. Each preset's wall time (the whole `hotspots
+# run`, in seconds) goes to stderr, followed by the total.
 #
 # Usage:
 #   scripts/check_goldens.sh            # compare against goldens
@@ -47,10 +48,21 @@ with open(src) as f, open(dst, "w") as out:
 PY
 }
 
+# Milliseconds since the epoch, read through python3 (already needed by
+# normalize) because `date +%N` is GNU-only. The times are informational:
+# if the clock cannot be read this prints 0 and the check goes on.
+now_ms() {
+    python3 -c 'import time; print(time.time_ns() // 1000000)' 2>/dev/null || echo 0
+}
+
 fail=0
+all_start=$(now_ms)
 for name in $("$HOTSPOTS" list | awk '/^  / {print $1}'); do
     raw="$tmp/$name.raw"
+    start=$(now_ms)
     HOTSPOTS_RUN_REPORT= "$HOTSPOTS" run "$name" --quick --report "$raw" >/dev/null
+    ms=$(($(now_ms) - start))
+    printf 'time: %-22s %4d.%03d s\n' "$name" $((ms / 1000)) $((ms % 1000)) >&2
     normalize "$raw" "$tmp/$name.jsonl"
     if [ "$mode" = update ]; then
         cp "$tmp/$name.jsonl" "results/golden/$name.jsonl"
@@ -62,5 +74,8 @@ for name in $("$HOTSPOTS" list | awk '/^  / {print $1}'); do
         echo "ok: $name"
     fi
 done
+
+ms=$(($(now_ms) - all_start))
+printf 'time: %-22s %4d.%03d s\n' total $((ms / 1000)) $((ms % 1000)) >&2
 
 exit "$fail"

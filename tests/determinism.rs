@@ -104,6 +104,66 @@ fn detection_runs_replay() {
 }
 
 #[test]
+fn shared_outbreak_nat_runs_equal_separate_runs() {
+    let study = detection::DetectionStudy {
+        population: 1_500,
+        slash8s: 10,
+        paper_profile: false,
+        seeds: 6,
+        scan_rate: 20.0,
+        alert_threshold: 3,
+        max_time: 600.0,
+        stop_at_fraction: 0.8,
+        rng_seed: 29,
+    };
+    let placements = [
+        detection::Placement::Random { sensors: 120 },
+        detection::Placement::TopSlash8s { sensors: 120, k: 3 },
+        detection::Placement::Inside192,
+    ];
+    let mut reversed = placements;
+    reversed.reverse();
+    for topology in [
+        detection::NatTopology::Shared,
+        detection::NatTopology::Isolated,
+    ] {
+        for order in [placements, reversed] {
+            let shared = detection::nat_runs(&study, 0.2, order, topology);
+            assert!(
+                shared.iter().any(|run| run.sensors_alerted > 0),
+                "the outbreak reaches some sensors under {topology:?}"
+            );
+            for (placement, run) in order.into_iter().zip(&shared) {
+                let alone = match topology {
+                    detection::NatTopology::Shared => detection::nat_run(&study, 0.2, placement),
+                    detection::NatTopology::Isolated => {
+                        detection::nat_run_with_topology(&study, 0.2, placement, topology)
+                    }
+                };
+                let what = format!("{placement:?} under {topology:?}");
+                assert_eq!(run.placement, placement, "{what}");
+                assert_eq!(run.infection_curve, alone.infection_curve, "{what}");
+                assert_eq!(run.alert_curve, alone.alert_curve, "{what}");
+                assert_eq!(run.sensors, alone.sensors, "{what}");
+                assert_eq!(run.sensors_alerted, alone.sensors_alerted, "{what}");
+                assert_eq!(
+                    run.alerted_at_20pct_infected.to_bits(),
+                    alone.alerted_at_20pct_infected.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(run.infected_hosts, alone.infected_hosts, "{what}");
+                assert_eq!(run.ledger, alone.ledger, "{what}");
+                assert_eq!(
+                    run.sim_seconds.to_bits(),
+                    alone.sim_seconds.to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn engine_invariants_hold_across_configurations() {
     // ever-infected monotone; removed ≤ infected; infection times sorted
     // consistently with the curve; holds with removal, latency, and
