@@ -97,7 +97,7 @@ fn figures(c: &mut Criterion) {
             ..detection::DetectionStudy::default()
         };
         // the three Figure 5(c) placements over one outbreak, as the
-        // preset runs them
+        // preset runs them (here on one engine thread)
         let placements = [
             detection::Placement::Random { sensors: 300 },
             detection::Placement::TopSlash8s { sensors: 300, k: 3 },
@@ -109,6 +109,7 @@ fn figures(c: &mut Criterion) {
                 0.15,
                 placements,
                 detection::NatTopology::Shared,
+                1,
             ))
         });
     });

@@ -250,7 +250,7 @@ pub fn nat_run_with_topology(
     placement_kind: Placement,
     topology: NatTopology,
 ) -> NatRun {
-    let [run] = nat_runs(study, nat_fraction, [placement_kind], topology);
+    let [run] = nat_runs(study, nat_fraction, [placement_kind], topology, 1);
     run
 }
 
@@ -261,11 +261,14 @@ pub fn nat_run_with_topology(
 /// placement, and sensor fields only watch, so one engine feeds all
 /// the fields. Each placement draws its sensors from a clone of the
 /// post-NAT random stream — the state its own run would start from.
+/// The outbreak runs on `threads` engine threads
+/// ([`SimConfig::threads`]); results are identical at any count.
 pub fn nat_runs<const N: usize>(
     study: &DetectionStudy,
     nat_fraction: f64,
     placements: [Placement; N],
     topology: NatTopology,
+    threads: usize,
 ) -> [NatRun; N] {
     let population_addrs = study.draw_population();
     let mut rng = StdRng::seed_from_u64(study.rng_seed ^ 0xa117);
@@ -280,8 +283,12 @@ pub fn nat_runs<const N: usize>(
         let sensors = placement_kind.build(&population_addrs, &mut rng.clone());
         FieldObserver::new(DetectorField::new(sensors, study.alert_threshold))
     });
+    let config = SimConfig {
+        threads: threads.max(1),
+        ..study.sim_config()
+    };
     let mut engine = Engine::new(
-        study.sim_config(),
+        config,
         Population::from_loci(loci),
         env,
         Box::new(CodeRed2Worm),

@@ -49,9 +49,10 @@ use crate::spec::{parse_ip, DetectionParams, ScenarioSpec, SpecError, StudySpec}
 pub struct RunContext {
     /// The `binary` field of the emitted run report.
     pub binary: String,
-    /// Worker threads: overrides `sim.threads` on the engine path and
-    /// the sweep pool size on the study path. `None` = the spec's value
-    /// (engine) / all cores (sweeps). `Some(0)` = auto: resolve to the
+    /// Worker threads: overrides `sim.threads` on the engine path, and
+    /// on the study path sets the sweep pool size and the engine threads
+    /// of Figure 5(c)'s shared outbreak. `None` = the spec's value
+    /// (engine) / all cores (studies). `Some(0)` = auto: resolve to the
     /// machine's available parallelism and record the resolved count in
     /// the report.
     pub threads: Option<usize>,
@@ -700,8 +701,14 @@ fn run_study(
                 },
                 Placement::Inside192,
             ];
-            // the placements watch one shared outbreak
-            let runs = nat_runs(&study, *nat_fraction, placements, NatTopology::Shared);
+            // the placements watch one shared outbreak, run on the pool
+            let runs = nat_runs(
+                &study,
+                *nat_fraction,
+                placements,
+                NatTopology::Shared,
+                runset.threads(),
+            );
             out.config("population", study.population_size())
                 .config("nat_fraction", nat_fraction)
                 .config("placements", "Random,TopSlash8s,Inside192");
@@ -1130,6 +1137,64 @@ mod tests {
         }
         let report = run.report.build();
         assert_eq!(report.population, 2);
+    }
+
+    #[test]
+    fn nat_detection_study_is_thread_count_invariant() {
+        // Figure 5(c)'s shared outbreak runs on the engine pool at the
+        // context's thread count; every count must give the same report
+        // and the same runs.
+        let mut spec = ScenarioSpec::named("fig5c-test");
+        spec.study = Some(StudySpec::NatDetection {
+            detection: DetectionParams {
+                population: 2_000,
+                slash8s: 10,
+                paper_profile: false,
+                seeds: 8,
+                scan_rate: 20.0,
+                alert_threshold: 3,
+                max_time: 400.0,
+                stop_at_fraction: 0.8,
+                rng_seed: 31,
+            },
+            nat_fraction: 0.15,
+            sensors: 100,
+            top_k_slash8s: 3,
+        });
+        let run = |threads: usize| {
+            let run = run_spec(&spec, &RunContext::new("t").with_threads(threads)).expect("runs");
+            let Outcome::NatDetection { runs, .. } = run.outcome else {
+                panic!("expected a nat-detection outcome");
+            };
+            (run.report.build().canonicalized().to_jsonl(), runs)
+        };
+        let (base_report, base_runs) = run(1);
+        assert!(base_runs.iter().any(|r| r.sensors_alerted > 0));
+        for threads in [2, 4] {
+            let (report, runs) = run(threads);
+            assert_eq!(report, base_report, "report at {threads} threads");
+            assert_eq!(runs.len(), base_runs.len());
+            for (run, base) in runs.iter().zip(&base_runs) {
+                let what = format!("{:?} at {threads} threads", base.placement);
+                assert_eq!(run.placement, base.placement, "{what}");
+                assert_eq!(run.infection_curve, base.infection_curve, "{what}");
+                assert_eq!(run.alert_curve, base.alert_curve, "{what}");
+                assert_eq!(run.sensors, base.sensors, "{what}");
+                assert_eq!(run.sensors_alerted, base.sensors_alerted, "{what}");
+                assert_eq!(
+                    run.alerted_at_20pct_infected.to_bits(),
+                    base.alerted_at_20pct_infected.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(run.infected_hosts, base.infected_hosts, "{what}");
+                assert_eq!(run.ledger, base.ledger, "{what}");
+                assert_eq!(
+                    run.sim_seconds.to_bits(),
+                    base.sim_seconds.to_bits(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,11 +52,10 @@ pub struct SimConfig {
     /// bit-identical.
     pub rng_seed: u64,
     /// Worker threads for the probe phase. `1` (the default) runs the
-    /// staged pipeline serially; larger values shard active hosts across
-    /// a persistent [`ShardExecutor`] pool when the `parallel` cargo
-    /// feature is enabled (without it, any value runs serially). Every
-    /// RNG stream is keyed by host id and shard results merge in fixed
-    /// order, so this is a pure throughput knob: results are
+    /// staged pipeline serially on the calling thread; larger values
+    /// shard active hosts across a persistent [`ShardExecutor`] pool.
+    /// Every RNG stream is keyed by host id and shard results merge in
+    /// fixed order, so this is a pure throughput knob: results are
     /// bit-identical at any setting.
     pub threads: usize,
     /// Record a span trace of the run (run → step → phase spans with
@@ -115,12 +114,13 @@ pub struct EngineTelemetry {
     /// (observer dispatch), `merge` (the serial tail of every step:
     /// ledger merge, infection bookkeeping, and host spawning — the
     /// prime suspect for parallel slowdown). Together they cover the
-    /// whole probe path. With the `parallel` feature and `threads > 1`,
-    /// the first three sum across worker threads (CPU time, not wall
-    /// time); `observe` and `merge` are always serial wall time. Runs
-    /// that actually dispatched shards to pool workers also report
-    /// `park` (worker idle time between jobs) and `wake`
-    /// (dispatch-to-pickup latency); effectively serial runs omit both.
+    /// whole probe path. With `threads > 1` the first three sum across
+    /// worker threads (CPU time, not wall time); `observe` and `merge`
+    /// run on the driving thread, and the driving thread observes its
+    /// own shard while the workers run theirs. Runs that actually
+    /// dispatched shards to pool workers also report `park` (worker
+    /// idle time between jobs) and `wake` (dispatch-to-pickup latency);
+    /// effectively serial runs omit both.
     pub phases: PhaseTimes,
     /// Per-step wall time in microseconds, log-bucketed.
     pub step_micros: Histogram,
@@ -311,12 +311,18 @@ impl Engine {
     /// ([`hotspots_targeting::TargetGenerator::fill_targets`]), the
     /// environment verdicts the whole slice
     /// ([`Environment::route_batch`]), victims are resolved, and the
-    /// batch reaches the observer via [`SimObserver::on_probe_batch`].
-    /// With the `parallel` cargo feature and [`SimConfig::threads`] > 1,
-    /// active hosts are sharded across `executor`'s persistent workers
-    /// and results merge in fixed shard order; because every RNG stream
-    /// is keyed by host id, the run is bit-identical to a serial one
-    /// (only observer batch boundaries vary with thread count).
+    /// probes reach the observer via [`SimObserver::on_probe_batch`].
+    /// With [`SimConfig::threads`] > 1, active hosts are sharded across
+    /// `executor`'s persistent workers and results merge in fixed shard
+    /// order; because every RNG stream is keyed by host id, the run is
+    /// bit-identical to a serial one.
+    ///
+    /// The driving thread hands each chunk of its own shard to the
+    /// observer as soon as the chunk's probes exist, so it buffers at
+    /// most one chunk (1 024 targets, or one host's burst if that is
+    /// larger); worker shards are observed at the merge. Only observer
+    /// batch boundaries vary with thread count and chunk size, never the
+    /// concatenated probe and infection sequence.
     ///
     /// The executor holds no simulation state — reusing one across runs
     /// is bit-identical to building a fresh engine and pool per run.
@@ -469,10 +475,10 @@ impl Engine {
             }
 
             // Stages 1–3 (target-gen / routing / victim lookup), sharded
-            // across the persistent pool when parallel. The ctx and all
-            // its Arc clones are consumed inside `run_step`, so the
-            // flag Arcs are unique again when the merge below mutates
-            // them.
+            // across the persistent pool; the driving thread's shard is
+            // observed chunk by chunk as it runs. The ctx and all its
+            // Arc clones are consumed inside `run_step`, so the flag
+            // Arcs are unique again when the merge below mutates them.
             let shard_count = {
                 let ctx = StepCtx {
                     env: Arc::clone(&self.env),
@@ -483,51 +489,44 @@ impl Engine {
                     removed: Arc::clone(&removed_flags),
                     pending: Arc::clone(&pending_flags),
                 };
-                pipeline.run_step(executor, ctx, &mut active)
+                pipeline.run_step(executor, ctx, &mut active, observer, &mut ledger)
             };
 
-            // Stage 4 (observe) and infection bookkeeping: serial merge
-            // in fixed shard order.
+            // Stage 4 (observe the worker shards) and infection
+            // bookkeeping: serial merge in fixed shard order.
             newly_infected.clear();
-            #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
             for (shard, batch) in pipeline.batches_mut()[..shard_count].iter_mut().enumerate() {
                 #[cfg(feature = "telemetry")]
                 #[allow(clippy::disallowed_methods)]
                 // telemetry-gated: legal clock site
                 let t_batch = Instant::now();
+                // Shard 0 was observed as it ran; worker shards come
+                // back buffered.
                 #[cfg(feature = "telemetry")]
-                let obs_dur: Duration;
-                ledger.merge(&batch.ledger);
+                let streamed = batch.observe;
+                if shard > 0 {
+                    batch.hand_to_observer(time, observer, &mut ledger);
+                }
+                #[cfg(feature = "telemetry")]
+                let obs_dur = batch.observe - streamed;
                 #[cfg(feature = "telemetry")]
                 {
                     tel_target += batch.target_gen;
                     tel_route += batch.routing;
                     tel_lookup += batch.lookup;
+                    tel_observe += batch.observe;
                     if let Some(t) = trace.as_mut() {
                         let (s, lane) = (shard as u32, shard as u32 + 1);
                         t.leaf("target_gen", step_index, s, lane, batch.target_gen);
                         t.leaf("routing", step_index, s, lane, batch.routing);
                         t.leaf("lookup", step_index, s, lane, batch.lookup);
+                        t.leaf("observe", step_index, s, 0, batch.observe);
                     }
                     batch.target_gen = Duration::ZERO;
                     batch.routing = Duration::ZERO;
                     batch.lookup = Duration::ZERO;
+                    batch.observe = Duration::ZERO;
                 }
-                #[cfg(feature = "telemetry")]
-                #[allow(clippy::disallowed_methods)]
-                // telemetry-gated: legal clock site
-                let t_obs = Instant::now();
-                observer.on_probe_batch(time, &batch.probes, &batch.ledger);
-                #[cfg(feature = "telemetry")]
-                {
-                    obs_dur = t_obs.elapsed();
-                    tel_observe += obs_dur;
-                    if let Some(t) = trace.as_mut() {
-                        t.leaf("observe", step_index, shard as u32, 0, obs_dur);
-                    }
-                }
-                batch.ledger = DeliveryLedger::new();
-                batch.probes.clear();
 
                 // Candidates carry start-of-step flag state; re-check
                 // against live flags so duplicates collapse exactly as
@@ -636,8 +635,9 @@ mod tests {
     use crate::population::apply_nat;
     use crate::worms::{CodeRed2Worm, HitListWorm, UniformWorm};
     use hotspots_ipspace::Ip;
-    use hotspots_netmodel::{Delivery, DropReason, LatencyModel};
+    use hotspots_netmodel::{Delivery, DropReason, LatencyModel, Locus};
     use hotspots_targeting::HitList;
+    use std::collections::BTreeMap;
 
     /// A dense population inside one /16 so uniform worms still make
     /// progress at test scale.
@@ -1134,7 +1134,7 @@ mod tests {
         assert_eq!(shape(ta), shape(tb));
     }
 
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_attributes_shards_in_parallel_runs() {
         let mut engine = Engine::new(
@@ -1192,12 +1192,36 @@ mod tests {
     fn chunk_boundaries_never_change_a_run() {
         use hotspots_netmodel::{FaultEvent, FaultKind, FaultPlan, FaultWindow, LossModel};
 
-        /// Every probe the engine emits, in emission order.
+        /// Every probe and every infection the engine emits, each in
+        /// emission order, plus each batch's `(time, size)`.
         #[derive(Default)]
-        struct ProbeLog(Vec<(Ip, Delivery)>);
-        impl SimObserver for ProbeLog {
+        struct EventLog {
+            probes: Vec<(Ip, Delivery)>,
+            infections: Vec<(f64, usize)>,
+            batches: Vec<(f64, usize)>,
+        }
+        impl SimObserver for EventLog {
             fn on_probe(&mut self, _t: f64, src: Ip, delivery: Delivery) {
-                self.0.push((src, delivery));
+                self.probes.push((src, delivery));
+            }
+
+            fn on_probe_batch(
+                &mut self,
+                time: f64,
+                probes: &[(Ip, Delivery)],
+                ledger: &DeliveryLedger,
+            ) {
+                let mut own = DeliveryLedger::new();
+                for &(src, delivery) in probes {
+                    own.record(delivery);
+                    self.on_probe(time, src, delivery);
+                }
+                assert_eq!(*ledger, own, "a batch ledger counts exactly its probes");
+                self.batches.push((time, probes.len()));
+            }
+
+            fn on_infection(&mut self, time: f64, host: usize, _locus: Locus) {
+                self.infections.push((time, host));
             }
         }
 
@@ -1236,31 +1260,67 @@ mod tests {
                 Box::new(CodeRed2Worm),
             )
         };
-        // `threads = 4` shards across the pool under `parallel` and runs
-        // serially without it.
-        for threads in [1, 4] {
-            let run = |chunk_targets: usize| {
-                let mut engine = engine(threads);
-                let mut log = ProbeLog::default();
-                let mut executor = ShardExecutor::new(threads);
-                let result = engine.run_chunked(&mut executor, &mut log, chunk_targets);
-                let bursts: Vec<f64> = (0..result.population)
-                    .filter(|&id| result.infection_times[id].is_some())
-                    .map(|id| engine.spawn_host(id).probes_per_step)
-                    .collect();
-                (result, log.0, bursts)
-            };
-            // chunk = 1 target: every host is its own chunk, the
-            // per-host shape of the pipeline
-            let (per_host, per_host_probes, bursts) = run(1);
-            let (chunked, chunked_probes, _) = run(CHUNK_TARGETS);
-            let limit = CHUNK_TARGETS as f64;
-            assert!(bursts.iter().any(|&b| b < limit) && bursts.iter().any(|&b| b > limit));
-            assert!(per_host.infected > 100, "the outbreak must spread");
-            assert_eq!(per_host.ledger, chunked.ledger);
-            assert_eq!(per_host.infection_times, chunked.infection_times);
-            assert_eq!(per_host_probes.len() as u64, per_host.probes_sent);
-            assert!(per_host_probes == chunked_probes, "probe sequences differ");
+        let run = |threads: usize, chunk_targets: usize| {
+            let mut engine = engine(threads);
+            let mut log = EventLog::default();
+            let mut executor = ShardExecutor::new(threads);
+            let result = engine.run_chunked(&mut executor, &mut log, chunk_targets);
+            let rates: Vec<f64> = (0..result.population)
+                .filter(|&id| result.infection_times[id].is_some())
+                .map(|id| engine.spawn_host(id).probes_per_step)
+                .collect();
+            (result, log, rates)
+        };
+
+        let (serial, serial_log, rates) = run(1, CHUNK_TARGETS);
+        let limit = CHUNK_TARGETS as f64;
+        assert!(rates.iter().any(|&r| r < limit) && rates.iter().any(|&r| r > limit));
+        assert!(serial.infected > 100, "the outbreak must spread");
+        assert_eq!(serial_log.probes.len() as u64, serial.probes_sent);
+        assert_eq!(serial_log.infections.len(), serial.infected);
+
+        // A serial run streams: no batch exceeds one chunk (or one
+        // host's burst, which is at most its rate rounded up), though
+        // whole steps send many chunks' worth.
+        let largest_burst = rates.iter().fold(0.0f64, |m, &r| m.max(r.ceil())) as usize;
+        let bound = CHUNK_TARGETS.max(largest_burst);
+        assert!(serial_log.batches.iter().all(|&(_, n)| n <= bound));
+        let mut per_step: BTreeMap<u64, usize> = BTreeMap::new();
+        for &(time, n) in &serial_log.batches {
+            *per_step.entry(time as u64).or_default() += n;
+        }
+        assert!(per_step.values().any(|&n| n > 10 * bound));
+
+        // chunk = 1 target (every host its own chunk, the per-host shape
+        // of the pipeline) and the sharded pool both emit the serial
+        // run's exact probe sequence and infection sequence.
+        for (threads, chunk_targets) in [(1, 1), (4, 1), (4, CHUNK_TARGETS)] {
+            let (other, log, _) = run(threads, chunk_targets);
+            assert_eq!(other.ledger, serial.ledger);
+            assert_eq!(other.infection_times, serial.infection_times);
+            let at = format!("{threads} threads, chunk {chunk_targets}");
+            assert!(log.probes == serial_log.probes, "probes differ at {at}");
+            assert_eq!(log.infections, serial_log.infections, "at {at}");
+        }
+    }
+
+    /// `threads = 2` really shards in a default build: the run reports
+    /// the pool-only phases.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn two_threads_run_on_the_pool() {
+        let mut engine = Engine::new(
+            SimConfig {
+                threads: 2,
+                ..hitlist_config()
+            },
+            dense_population(300),
+            Environment::new(),
+            Box::new(HitListWorm::new(hitlist())),
+        );
+        let phases = engine.run(&mut NullObserver).telemetry.phases;
+        for phase in ["park", "wake"] {
+            assert_eq!(phases.spans(phase), 1, "{phase} missing");
         }
     }
 }

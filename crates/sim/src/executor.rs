@@ -24,10 +24,8 @@
 //! none (no work stealing, no completion-order effects: results land in
 //! per-shard slots and are consumed in index order).
 
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-
-#[cfg(feature = "parallel")]
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 #[cfg(feature = "telemetry")]
 use std::time::Duration;
@@ -40,6 +38,7 @@ use hotspots_targeting::TargetGenerator;
 use rand::rngs::StdRng;
 
 use crate::bitset::HostBits;
+use crate::observers::SimObserver;
 use crate::population::Population;
 
 /// Engine-side state of one currently infected host. Owned by the
@@ -60,10 +59,12 @@ pub(crate) struct InfectedHost {
     pub(crate) probe_credit: f64,
 }
 
-/// Target count at which [`drive_shard`] closes a chunk of consecutive
-/// hosts and runs it through the stages. It bounds the staging buffers
-/// (a host whose burst alone exceeds it forms its own chunk) and sets
-/// the telemetry clock granularity: four reads per chunk, not per host.
+/// Target count at which a shard closes a chunk of consecutive hosts
+/// and runs it through the stages ([`next_chunk`]). It bounds the
+/// staging buffers (a host whose burst alone exceeds it forms its own
+/// chunk), the driving thread's probe buffer (each of its chunks goes
+/// to the observer as soon as it exists), and the telemetry clock
+/// granularity: four reads per chunk, not per host.
 pub(crate) const CHUNK_TARGETS: usize = 1024;
 
 /// Reusable per-shard scratch for one step of the staged probe pipeline.
@@ -74,8 +75,11 @@ pub(crate) struct ProbeBatch {
     pub(crate) deliveries: Vec<Delivery>,
     /// Each host's burst in the current chunk (0 = the host is idle).
     bursts: Vec<usize>,
+    /// Probes not yet observed: a worker shard's whole step, or the
+    /// driving thread's current chunk.
     pub(crate) probes: Vec<(Ip, Delivery)>,
     pub(crate) candidates: Vec<usize>,
+    /// Verdict counts for exactly the probes in `probes`.
     pub(crate) ledger: DeliveryLedger,
     #[cfg(feature = "telemetry")]
     pub(crate) target_gen: Duration,
@@ -83,16 +87,21 @@ pub(crate) struct ProbeBatch {
     pub(crate) routing: Duration,
     #[cfg(feature = "telemetry")]
     pub(crate) lookup: Duration,
+    /// Observer time spent on this shard's probes in the current step.
+    #[cfg(feature = "telemetry")]
+    pub(crate) observe: Duration,
 }
 
 impl ProbeBatch {
-    pub(crate) fn new() -> ProbeBatch {
+    /// An empty batch; `capacity` pre-sizes every buffer, so a worker
+    /// that fills the batch grows memory the driving thread allocated.
+    pub(crate) fn with_capacity(capacity: usize) -> ProbeBatch {
         ProbeBatch {
-            targets: Vec::new(),
-            deliveries: Vec::new(),
-            bursts: Vec::new(),
-            probes: Vec::new(),
-            candidates: Vec::new(),
+            targets: Vec::with_capacity(capacity),
+            deliveries: Vec::with_capacity(capacity),
+            bursts: Vec::with_capacity(capacity),
+            probes: Vec::with_capacity(capacity),
+            candidates: Vec::with_capacity(capacity),
             ledger: DeliveryLedger::new(),
             #[cfg(feature = "telemetry")]
             target_gen: Duration::ZERO,
@@ -100,7 +109,30 @@ impl ProbeBatch {
             routing: Duration::ZERO,
             #[cfg(feature = "telemetry")]
             lookup: Duration::ZERO,
+            #[cfg(feature = "telemetry")]
+            observe: Duration::ZERO,
         }
+    }
+
+    /// Hands the buffered probes and their ledger to `observer`, folds
+    /// the ledger into the run's `ledger`, and empties the buffer.
+    pub(crate) fn hand_to_observer<O: SimObserver>(
+        &mut self,
+        time: f64,
+        observer: &mut O,
+        ledger: &mut DeliveryLedger,
+    ) {
+        #[cfg(feature = "telemetry")]
+        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
+        let t0 = Instant::now();
+        observer.on_probe_batch(time, &self.probes, &self.ledger);
+        #[cfg(feature = "telemetry")]
+        {
+            self.observe += t0.elapsed();
+        }
+        ledger.merge(&self.ledger);
+        self.ledger = DeliveryLedger::new();
+        self.probes.clear();
     }
 }
 
@@ -126,51 +158,84 @@ pub(crate) struct StepCtx {
     pub(crate) pending: Arc<HostBits>,
 }
 
+/// Settles the step's bursts of the hosts from `start` on and returns
+/// the end of the chunk that begins there: consecutive hosts up to
+/// `chunk_targets` targets, or one host whose burst alone exceeds it.
+/// The chunk's bursts are left in `bursts`, one per host.
+///
+/// A host's burst is settled (its probe credit spent) only once the
+/// host joins a chunk, so every host spends exactly its own credit,
+/// in host order, whatever the chunk size.
+fn next_chunk(
+    hosts: &mut [InfectedHost],
+    start: usize,
+    bursts: &mut Vec<usize>,
+    chunk_targets: usize,
+) -> usize {
+    bursts.clear();
+    let mut pending = 0;
+    for (i, host) in hosts.iter_mut().enumerate().skip(start) {
+        let credit = host.probe_credit + host.probes_per_step;
+        let burst = credit as usize;
+        if pending > 0 && pending + burst > chunk_targets {
+            return i;
+        }
+        host.probe_credit = credit - burst as f64;
+        bursts.push(burst);
+        pending += burst;
+        if pending >= chunk_targets {
+            return i + 1;
+        }
+    }
+    hosts.len()
+}
+
 /// Drives one shard of active hosts through the target-gen → routing →
 /// victim-lookup stages, accumulating results in the shard's scratch
 /// batch. Touches only its own hosts and batch, so shards run on
 /// independent threads without synchronization.
 ///
-/// Consecutive hosts are grouped into chunks of at most `chunk_targets`
-/// targets (a host whose burst is larger forms its own chunk), and each
-/// chunk runs stage by stage. Every host still consumes exactly its own
-/// generator and RNG draws, in host order, so the probe and candidate
-/// sequences do not depend on `chunk_targets`; the engine passes
-/// [`CHUNK_TARGETS`].
+/// Consecutive hosts are grouped into chunks by [`next_chunk`], and
+/// each chunk runs stage by stage. Every host still consumes exactly
+/// its own generator and RNG draws, in host order, so the probe and
+/// candidate sequences do not depend on `chunk_targets`; the engine
+/// passes [`CHUNK_TARGETS`].
 pub(crate) fn drive_shard(
     ctx: &StepCtx,
     hosts: &mut [InfectedHost],
     batch: &mut ProbeBatch,
     chunk_targets: usize,
 ) {
-    batch.bursts.clear();
     let mut start = 0;
-    let mut pending = 0;
-    for i in 0..hosts.len() {
-        let host = &mut hosts[i];
-        host.probe_credit += host.probes_per_step;
-        let burst = host.probe_credit as usize;
-        host.probe_credit -= burst as f64;
-        if pending > 0 && pending + burst > chunk_targets {
-            drive_chunk(ctx, &mut hosts[start..i], batch);
-            start = i;
-            pending = 0;
-        }
-        batch.bursts.push(burst);
-        pending += burst;
-        if pending >= chunk_targets {
-            drive_chunk(ctx, &mut hosts[start..=i], batch);
-            start = i + 1;
-            pending = 0;
-        }
+    while start < hosts.len() {
+        let end = next_chunk(hosts, start, &mut batch.bursts, chunk_targets);
+        drive_chunk(ctx, &mut hosts[start..end], batch);
+        start = end;
     }
-    if pending > 0 {
-        drive_chunk(ctx, &mut hosts[start..], batch);
+}
+
+/// [`drive_shard`] for the driving thread's shard: each chunk goes to
+/// `observer` (and its ledger into the run's `ledger`) as soon as its
+/// probes exist, so the shard never buffers more than one chunk.
+fn drive_observed<O: SimObserver>(
+    ctx: &StepCtx,
+    hosts: &mut [InfectedHost],
+    batch: &mut ProbeBatch,
+    chunk_targets: usize,
+    observer: &mut O,
+    ledger: &mut DeliveryLedger,
+) {
+    let mut start = 0;
+    while start < hosts.len() {
+        let end = next_chunk(hosts, start, &mut batch.bursts, chunk_targets);
+        drive_chunk(ctx, &mut hosts[start..end], batch);
+        batch.hand_to_observer(ctx.time, observer, ledger);
+        start = end;
     }
 }
 
 /// Runs one chunk (`hosts`, with their bursts in `batch.bursts`) through
-/// the three stages and clears the bursts.
+/// the three stages, appending its probes and candidates to `batch`.
 fn drive_chunk(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch) {
     #[cfg(feature = "telemetry")]
     #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
@@ -230,7 +295,6 @@ fn drive_chunk(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch
         );
         from += burst;
     }
-    batch.bursts.clear();
     #[cfg(feature = "telemetry")]
     {
         batch.target_gen += t1 - t0;
@@ -240,7 +304,6 @@ fn drive_chunk(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch
 }
 
 /// One shard's payload, shipped to a pool worker by ownership transfer.
-#[cfg(feature = "parallel")]
 struct ShardJob {
     shard: usize,
     hosts: Vec<InfectedHost>,
@@ -255,7 +318,6 @@ struct ShardJob {
 
 /// A finished shard, returned to the driving thread with its payload so
 /// the carrier buffers are reused and the merge stays allocation-free.
-#[cfg(feature = "parallel")]
 struct ShardDone {
     shard: usize,
     hosts: Vec<InfectedHost>,
@@ -277,8 +339,7 @@ struct ShardDone {
 /// sender. Panics inside the shard are caught and shipped back so the
 /// driving thread can re-raise them instead of deadlocking at the
 /// barrier.
-#[cfg(feature = "parallel")]
-fn worker_loop(jobs: Receiver<ShardJob>, done: Sender<ShardDone>) {
+fn worker_loop(jobs: Receiver<ShardJob>, done: SyncSender<ShardDone>) {
     loop {
         #[cfg(feature = "telemetry")]
         #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
@@ -328,9 +389,8 @@ fn worker_loop(jobs: Receiver<ShardJob>, done: Sender<ShardDone>) {
     }
 }
 
-#[cfg(feature = "parallel")]
 struct WorkerHandle {
-    jobs: Sender<ShardJob>,
+    jobs: SyncSender<ShardJob>,
     thread: std::thread::JoinHandle<()>,
 }
 
@@ -341,10 +401,14 @@ struct WorkerHandle {
 /// `ShardExecutor::new(p)` spawns `p - 1` workers that park between
 /// jobs. The executor holds no simulation state, so reusing one is
 /// bit-identical to building a fresh engine per run (pinned by test).
+/// `ShardExecutor::new(1)` spawns nothing and every shard runs on the
+/// calling thread.
 ///
-/// Without the `parallel` cargo feature the pool is empty and every
-/// shard runs on the calling thread; the type still exists so callers
-/// can be feature-agnostic.
+/// The driving thread observes its own shard chunk by chunk as it
+/// runs; worker shards are observed at the serial merge, in shard
+/// order. So the observer's batch boundaries depend on the thread
+/// count and the chunk size, and the concatenated probe and infection
+/// sequence does not.
 ///
 /// # Examples
 ///
@@ -355,9 +419,7 @@ struct WorkerHandle {
 /// assert!(pool.parallelism() >= 1);
 /// ```
 pub struct ShardExecutor {
-    #[cfg(feature = "parallel")]
     workers: Vec<WorkerHandle>,
-    #[cfg(feature = "parallel")]
     done_rx: Receiver<ShardDone>,
 }
 
@@ -376,53 +438,41 @@ impl ShardExecutor {
     /// time to the pool) drive the rest. `0` and `1` both mean "no
     /// workers".
     pub fn new(parallelism: usize) -> ShardExecutor {
-        #[cfg(feature = "parallel")]
-        {
-            let wanted = parallelism.saturating_sub(1);
-            let (done_tx, done_rx) = channel();
-            let mut workers = Vec::with_capacity(wanted);
-            for i in 0..wanted {
-                let (jobs_tx, jobs_rx) = channel();
-                let done = done_tx.clone();
-                // A spawn failure (resource exhaustion) degrades
-                // parallelism instead of failing the run: the pipeline
-                // caps its shard count at `parallelism()`.
-                if let Ok(thread) = std::thread::Builder::new()
-                    .name(format!("hotspots-worker-{}", i + 1))
-                    .spawn(move || worker_loop(jobs_rx, done))
-                {
-                    workers.push(WorkerHandle {
-                        jobs: jobs_tx,
-                        thread,
-                    });
-                }
+        let wanted = parallelism.saturating_sub(1);
+        // Bounded channels allocate their slots here, on the calling
+        // thread: a worker holds at most one job and the barrier drains
+        // every completion each step, so no send ever blocks or
+        // allocates on a worker.
+        let (done_tx, done_rx) = sync_channel(wanted);
+        let mut workers = Vec::with_capacity(wanted);
+        for i in 0..wanted {
+            let (jobs_tx, jobs_rx) = sync_channel(1);
+            let done = done_tx.clone();
+            // A spawn failure (resource exhaustion) degrades
+            // parallelism instead of failing the run: the pipeline
+            // caps its shard count at `parallelism()`.
+            if let Ok(thread) = std::thread::Builder::new()
+                .name(format!("hotspots-worker-{}", i + 1))
+                .spawn(move || worker_loop(jobs_rx, done))
+            {
+                workers.push(WorkerHandle {
+                    jobs: jobs_tx,
+                    thread,
+                });
             }
-            ShardExecutor { workers, done_rx }
         }
-        #[cfg(not(feature = "parallel"))]
-        {
-            let _ = parallelism;
-            ShardExecutor {}
-        }
+        ShardExecutor { workers, done_rx }
     }
 
     /// How many shards can execute concurrently (the calling thread
     /// plus the pool workers). Always at least 1.
     pub fn parallelism(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.workers.len() + 1
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            1
-        }
+        self.workers.len() + 1
     }
 }
 
 impl Drop for ShardExecutor {
     fn drop(&mut self) {
-        #[cfg(feature = "parallel")]
         for w in std::mem::take(&mut self.workers) {
             // Closing the job channel wakes the parked worker into its
             // exit path; join so no worker outlives the pool.
@@ -440,21 +490,19 @@ pub(crate) struct StepPipeline {
     /// Per-shard scratch, index 0 = the driving thread's shard. The
     /// merge loop walks `batches[..shard_count]` in index order.
     batches: Vec<ProbeBatch>,
-    /// [`drive_shard`]'s chunk bound.
+    /// [`next_chunk`]'s chunk bound.
     chunk_targets: usize,
-    #[cfg(feature = "parallel")]
     carriers: Vec<Vec<InfectedHost>>,
-    #[cfg(feature = "parallel")]
     slots: Vec<Option<(Vec<InfectedHost>, ProbeBatch)>>,
     /// Cumulative worker park time (blocked on the job channel).
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     park: Duration,
     /// Cumulative dispatch-to-pickup latency.
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     wake: Duration,
     /// Jobs actually shipped to pool workers (0 = the run was
     /// effectively serial and no park/wake phases are reported).
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
+    #[cfg(feature = "telemetry")]
     dispatched: u64,
 }
 
@@ -462,23 +510,19 @@ impl StepPipeline {
     /// A pipeline sized for `shards` concurrent shards (at least 1),
     /// driving them in chunks of `chunk_targets` targets.
     pub(crate) fn new(shards: usize, chunk_targets: usize) -> StepPipeline {
-        let shards = if cfg!(feature = "parallel") {
-            shards.max(1)
-        } else {
-            1
-        };
+        let shards = shards.max(1);
         StepPipeline {
-            batches: (0..shards).map(|_| ProbeBatch::new()).collect(),
+            batches: (0..shards)
+                .map(|_| ProbeBatch::with_capacity(chunk_targets))
+                .collect(),
             chunk_targets,
-            #[cfg(feature = "parallel")]
             carriers: (0..shards).map(|_| Vec::new()).collect(),
-            #[cfg(feature = "parallel")]
             slots: (0..shards).map(|_| None).collect(),
-            #[cfg(all(feature = "telemetry", feature = "parallel"))]
+            #[cfg(feature = "telemetry")]
             park: Duration::ZERO,
-            #[cfg(all(feature = "telemetry", feature = "parallel"))]
+            #[cfg(feature = "telemetry")]
             wake: Duration::ZERO,
-            #[cfg(all(feature = "telemetry", feature = "parallel"))]
+            #[cfg(feature = "telemetry")]
             dispatched: 0,
         }
     }
@@ -491,67 +535,75 @@ impl StepPipeline {
     /// Total (park, wake) pool time, if any shard ran on a pool worker.
     #[cfg(feature = "telemetry")]
     pub(crate) fn pool_phases(&self) -> Option<(Duration, Duration)> {
-        #[cfg(feature = "parallel")]
-        {
-            (self.dispatched > 0).then_some((self.park, self.wake))
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            None
-        }
+        (self.dispatched > 0).then_some((self.park, self.wake))
     }
 
     /// Runs the probe stages (target_gen → routing → lookup) over all
     /// active hosts, sharding across `executor`'s workers, and returns
     /// how many scratch batches were filled.
     ///
+    /// The driving thread's shard (batch 0) is observed chunk by chunk
+    /// while it runs: each chunk goes to `observer` and its ledger into
+    /// `ledger`, so batch 0 comes back with no probes. Worker shards
+    /// come back buffered, for the merge to observe in shard order.
+    ///
     /// Shards are contiguous chunks of `active`, reassembled in chunk
     /// order before returning, so `active`'s element order — and hence
     /// every per-host RNG stream — is exactly what a serial pass over
     /// the same vector would see. `ctx` and every clone of it are
     /// consumed before this returns.
-    // without `parallel` only slice ops remain, but the pooled path
-    // drains/appends, so the signature stays `&mut Vec`
-    #[cfg_attr(not(feature = "parallel"), allow(clippy::ptr_arg))]
-    pub(crate) fn run_step(
+    pub(crate) fn run_step<O: SimObserver>(
         &mut self,
         executor: &mut ShardExecutor,
         ctx: StepCtx,
         active: &mut Vec<InfectedHost>,
+        observer: &mut O,
+        ledger: &mut DeliveryLedger,
     ) -> usize {
         let shards = self
             .batches
             .len()
             .min(executor.parallelism())
             .min(active.len());
-        #[cfg(feature = "parallel")]
-        if shards > 1 {
-            return self.run_step_pooled(executor, ctx, active, shards);
+        let used = if shards > 1 {
+            self.dispatch(executor, &ctx, active, shards)
+        } else {
+            1
+        };
+        // Shard 0 is whatever remains of `active`; driving it here
+        // overlaps with the workers.
+        drive_observed(
+            &ctx,
+            active,
+            &mut self.batches[0],
+            self.chunk_targets,
+            observer,
+            ledger,
+        );
+        drop(ctx);
+        if used > 1 {
+            self.collect(executor, active, used);
         }
-        let _ = shards;
-        drive_shard(&ctx, active, &mut self.batches[0], self.chunk_targets);
-        1
+        used
     }
 
-    /// The pooled fan-out: peel tail chunks into carriers (last shard
-    /// first, so each drain is a pure truncation), dispatch shards
-    /// `1..used` to workers in fixed shard→worker order, drive shard 0
-    /// inline, then collect and splice back in shard order.
-    #[cfg(feature = "parallel")]
-    fn run_step_pooled(
+    /// The pooled fan-out: peels tail chunks of `active` into carriers
+    /// (last shard first, so each drain is a pure truncation) and
+    /// dispatches shards `1..used` to workers in fixed shard→worker
+    /// order. Returns `used`, the shard count including shard 0.
+    fn dispatch(
         &mut self,
         executor: &mut ShardExecutor,
-        ctx: StepCtx,
+        ctx: &StepCtx,
         active: &mut Vec<InfectedHost>,
         shards: usize,
     ) -> usize {
         let chunk = active.len().div_ceil(shards);
         let used = active.len().div_ceil(chunk);
-        let mut outstanding = 0usize;
         for shard in (1..used).rev() {
             let mut hosts = std::mem::take(&mut self.carriers[shard]);
             hosts.extend(active.drain(shard * chunk..));
-            let batch = std::mem::replace(&mut self.batches[shard], ProbeBatch::new());
+            let batch = std::mem::replace(&mut self.batches[shard], ProbeBatch::with_capacity(0));
             #[cfg(feature = "telemetry")]
             #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
             let sent_at = Instant::now();
@@ -567,28 +619,33 @@ impl StepPipeline {
             // Deterministic shard→worker assignment (`used - 1 <=
             // workers` because `shards <= parallelism()`), so a shard
             // always runs on the same worker thread at a given count.
-            match executor.workers[shard - 1].jobs.send(job) {
-                Ok(()) => outstanding += 1,
-                Err(std::sync::mpsc::SendError(job)) => {
-                    // Unreachable in practice (workers outlive the
-                    // executor's senders); degrade by running inline.
-                    let ShardJob {
-                        shard,
-                        mut hosts,
-                        mut batch,
-                        ctx,
-                        ..
-                    } = job;
-                    drive_shard(&ctx, &mut hosts, &mut batch, self.chunk_targets);
-                    self.slots[shard] = Some((hosts, batch));
-                }
+            if let Err(std::sync::mpsc::SendError(job)) = executor.workers[shard - 1].jobs.send(job)
+            {
+                // Unreachable in practice (workers outlive the
+                // executor's senders); degrade by running inline.
+                let ShardJob {
+                    shard,
+                    mut hosts,
+                    mut batch,
+                    ctx,
+                    ..
+                } = job;
+                drive_shard(&ctx, &mut hosts, &mut batch, self.chunk_targets);
+                self.slots[shard] = Some((hosts, batch));
             }
         }
-        // Shard 0 is whatever remains of `active`; driving it here
-        // overlaps with the workers.
-        drive_shard(&ctx, active, &mut self.batches[0], self.chunk_targets);
-        drop(ctx);
+        used
+    }
 
+    /// The barrier: waits for every dispatched shard, then splices the
+    /// chunks back into `active` in shard order.
+    fn collect(
+        &mut self,
+        executor: &mut ShardExecutor,
+        active: &mut Vec<InfectedHost>,
+        used: usize,
+    ) {
+        let mut outstanding = (1..used).filter(|&s| self.slots[s].is_none()).count();
         while outstanding > 0 {
             match executor.done_rx.recv() {
                 Ok(done) => {
@@ -620,7 +677,6 @@ impl StepPipeline {
                 self.batches[shard] = batch;
             }
         }
-        used
     }
 }
 
@@ -636,7 +692,6 @@ mod tests {
         assert_eq!(pool.parallelism(), 1);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn pool_spawns_and_joins_workers() {
         let pool = ShardExecutor::new(4);

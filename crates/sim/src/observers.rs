@@ -29,6 +29,12 @@ pub trait SimObserver {
     /// accounting observers can merge it instead of re-tallying the
     /// slice.
     ///
+    /// A step arrives in several batches: one per chunk of the driving
+    /// thread's shard (at most 1 024 probes, or one host's burst if that
+    /// is larger) and one per worker shard. Batch boundaries therefore
+    /// depend on the thread count and the chunk size; the concatenated
+    /// probe sequence does not.
+    ///
     /// The default delegates to [`SimObserver::on_probe`] per probe, so
     /// per-probe observers keep exact accounting without changes;
     /// observers with per-probe overhead can override the batch hook

@@ -32,8 +32,8 @@ pub struct MemoryStats {
     /// What the same population would cost in the dense store (the
     /// compressed-vs-dense ratio is `store_bytes / dense_store_bytes`).
     pub dense_store_bytes: u64,
-    /// Process resident set (`VmRSS`) after the run, when the platform
-    /// exposes it.
+    /// Peak process resident set (`VmHWM`) at the end of the run, when
+    /// the platform exposes it.
     pub resident_bytes: Option<u64>,
 }
 

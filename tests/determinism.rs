@@ -128,7 +128,8 @@ fn shared_outbreak_nat_runs_equal_separate_runs() {
         detection::NatTopology::Isolated,
     ] {
         for order in [placements, reversed] {
-            let shared = detection::nat_runs(&study, 0.2, order, topology);
+            // on the pool: sharding must not change what any field sees
+            let shared = detection::nat_runs(&study, 0.2, order, topology, 2);
             assert!(
                 shared.iter().any(|run| run.sensors_alerted > 0),
                 "the outbreak reaches some sensors under {topology:?}"
