@@ -10,15 +10,17 @@
 //! skips probe iteration entirely via the batch hook), so the same
 //! absolute per-probe accounting cost — one /8 landing count; the
 //! verdict ledger merges O(1) per batch — is a larger fraction of a
-//! smaller denominator.
+//! smaller denominator. A second `overhead:` line prices a run with
+//! `SimConfig::trace` on (span records on top of the always-on phase
+//! timing) against the same baseline.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::Environment;
 use hotspots_sim::{Engine, NullObserver, Population, SimConfig, SlammerWorm, TelemetryObserver};
-use hotspots_telemetry::MemorySink;
+use hotspots_telemetry::{MemorySink, Timer};
 
 /// The fixed workload: 25 Slammer seeds scanning the whole v4 space at
 /// 400 probes/s for 100 simulated seconds (~1M routed probes — large
@@ -28,11 +30,9 @@ fn slammer_engine() -> Engine {
     slammer_engine_with(false)
 }
 
-/// Same workload with `SimConfig::trace` requested. In this bench's
-/// default build (no `telemetry` feature on `hotspots-sim`) the flag is
-/// inert — the trace code does not exist — so comparing against the
-/// plain run measures the zero-cost-when-off contract for the trace
-/// path.
+/// Same workload, optionally with `SimConfig::trace` requested: the
+/// engine then records a span per step and per shard phase, so
+/// comparing against the plain run prices the trace path.
 fn slammer_engine_with(trace: bool) -> Engine {
     let config = SimConfig {
         scan_rate: 400.0,
@@ -72,7 +72,7 @@ fn observers(c: &mut Criterion) {
         );
     });
 
-    group.bench_function("slammer_run_trace_flag_inert", |b| {
+    group.bench_function("slammer_run_traced", |b| {
         b.iter_batched(
             || slammer_engine_with(true),
             |mut engine| black_box(engine.run(&mut NullObserver)),
@@ -100,8 +100,7 @@ fn median_secs(mut run: impl FnMut() -> u64, samples: usize) -> (f64, u64) {
     let mut times: Vec<Duration> = Vec::with_capacity(samples);
     let mut probes = 0;
     for _ in 0..samples {
-        #[allow(clippy::disallowed_methods)] // benches measure wall time by design
-        let start = Instant::now();
+        let start = Timer::start();
         probes = run();
         times.push(start.elapsed());
     }
@@ -151,8 +150,8 @@ fn overhead_guard() {
         telemetry_secs * 1e3,
     );
     println!(
-        "telemetry/overhead_guard: trace flag (inert without the telemetry \
-         feature) {:.2} ms — overhead: {trace_overhead:+.2}% (target < 15%)",
+        "telemetry/overhead_guard: traced run {:.2} ms — overhead: \
+         {trace_overhead:+.2}% (target < 15%)",
         trace_secs * 1e3,
     );
 }

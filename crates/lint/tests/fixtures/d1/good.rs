@@ -1,24 +1,15 @@
 // lint-as: crates/sim/src/engine.rs
-// Clock reads are fine when telemetry-gated, in test modules, or in
-// strings; bare `Instant` type mentions are not calls.
+// Timing through `Timer` is clean, as are clock reads in test modules
+// or strings; bare `Instant` type mentions are not calls.
 
-#[cfg(feature = "telemetry")]
-use std::time::Instant;
+use hotspots_telemetry::Timer;
 
-pub fn step() {
-    #[cfg(feature = "telemetry")]
-    let t0 = Instant::now();
-    #[cfg(feature = "telemetry")]
-    {
-        let _dt = t0.elapsed();
-        let _again = Instant::now();
-    }
+pub fn step(deadline: Option<std::time::Instant>) -> std::time::Duration {
+    let mut clock = Timer::start();
+    let first = clock.lap();
     let _msg = "Instant::now and SystemTime in a string are data";
-}
-
-#[cfg(feature = "telemetry")]
-pub fn gated_fn() -> Instant {
-    Instant::now()
+    let _ = deadline;
+    first + clock.elapsed()
 }
 
 #[cfg(test)]

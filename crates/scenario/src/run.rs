@@ -294,22 +294,18 @@ pub fn fold_run(
 }
 
 /// Folds an engine [`SimResult`] into a report: probe accounting,
-/// population, infections, simulated time, and — when this crate's
-/// `telemetry` feature is on — the engine's per-phase timings and step
-/// peak.
+/// population, infections, simulated time, and the engine's per-phase
+/// timings and step peak.
 pub fn fold_sim_result(report: &mut ReportBuilder, result: &SimResult) {
     fold_ledger(report, &result.ledger);
     report
         .add_population(result.population as u64)
         .add_infections(result.infected as u64)
         .add_sim_seconds(result.elapsed);
-    #[cfg(feature = "telemetry")]
-    {
-        for (name, total, _) in result.telemetry.phases.iter() {
-            report.add_phase_seconds(name, total.as_secs_f64());
-        }
-        report.peak_step_seconds(result.telemetry.peak_step_seconds);
+    for (name, total, _) in result.telemetry.phases.iter() {
+        report.add_phase_seconds(name, total.as_secs_f64());
     }
+    report.peak_step_seconds(result.telemetry.peak_step_seconds);
 }
 
 /// Runs a set of independent experiment configurations across threads,

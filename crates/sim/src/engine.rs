@@ -4,14 +4,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-#[cfg(feature = "telemetry")]
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hotspots_netmodel::{DeliveryLedger, Environment};
 use hotspots_prng::SplitMix;
 use hotspots_stats::TimeSeries;
-#[cfg(feature = "telemetry")]
-use hotspots_telemetry::{Histogram, PhaseTimes, TraceSink};
+use hotspots_telemetry::{Histogram, PhaseTimes, Timer, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -26,7 +24,6 @@ use crate::worms::WormModel;
 /// 10 probes/second per infected host, 25 seed hosts, no removal, no
 /// rate dispersion.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimConfig {
     /// Mean probes per second per infected host.
     pub scan_rate: f64,
@@ -59,9 +56,8 @@ pub struct SimConfig {
     /// bit-identical at any setting.
     pub threads: usize,
     /// Record a span trace of the run (run → step → phase spans with
-    /// per-shard attribution) into [`EngineTelemetry::trace`]. Without
-    /// the `telemetry` cargo feature this flag is inert: the trace code
-    /// does not exist in the build and no clock is read.
+    /// per-shard attribution) into [`EngineTelemetry::trace`]. Phase
+    /// timing runs either way; this adds only the span records.
     pub trace: bool,
 }
 
@@ -103,10 +99,10 @@ impl SimConfig {
     }
 }
 
-/// Wall-clock accounting for one run's engine phases (only collected
-/// under the `telemetry` cargo feature; without it no clock is read in
-/// the step loop).
-#[cfg(feature = "telemetry")]
+/// Wall-clock accounting for one run's engine phases, always collected.
+/// The clock is read through `Timer` four times per chunk of at most
+/// 1 024 targets and a fixed few times per step; the readings feed this
+/// report only, never the simulation.
 #[derive(Debug, Clone)]
 pub struct EngineTelemetry {
     /// Per-phase wall totals: `target_gen` (drawing targets), `routing`
@@ -155,8 +151,7 @@ pub struct SimResult {
     pub infection_times: Vec<Option<f64>>,
     /// Simulated seconds elapsed.
     pub elapsed: f64,
-    /// Engine phase timings (`telemetry` feature only).
-    #[cfg(feature = "telemetry")]
+    /// Engine phase timings.
     pub telemetry: EngineTelemetry,
 }
 
@@ -375,7 +370,6 @@ impl Engine {
         let mut removed = 0usize;
         let mut ledger = DeliveryLedger::new();
 
-        #[cfg(feature = "telemetry")]
         let (mut tel_target, mut tel_route, mut tel_lookup, mut tel_observe, mut tel_merge) = (
             Duration::ZERO,
             Duration::ZERO,
@@ -383,18 +377,11 @@ impl Engine {
             Duration::ZERO,
             Duration::ZERO,
         );
-        #[cfg(feature = "telemetry")]
         let mut step_micros = Histogram::new();
-        #[cfg(feature = "telemetry")]
         let mut peak_step = Duration::ZERO;
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let run_start = Instant::now();
-        #[cfg(feature = "telemetry")]
+        let run_start = Timer::start();
         let mut trace = self.config.trace.then(TraceSink::new);
-        #[cfg(feature = "telemetry")]
         let run_span = trace.as_mut().map(|t| t.open("run", 0, 0, 0));
-        #[cfg(feature = "telemetry")]
         let mut step_index: u64 = 0;
 
         // Seed hosts.
@@ -415,9 +402,7 @@ impl Engine {
 
         while time < self.config.max_time {
             time += self.config.dt;
-            #[cfg(feature = "telemetry")]
-            #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-            let step_start = Instant::now();
+            let step_start = Timer::start();
 
             // Activate pending (latency-delayed) infections due by now.
             let mut activated = false;
@@ -453,9 +438,7 @@ impl Engine {
             // Opened only after the break checks above so every step
             // span is closed; its duration still covers the whole step
             // (measured from `step_start`).
-            #[cfg(feature = "telemetry")]
             let step_span = trace.as_mut().map(|t| t.open("step", step_index, 0, 0));
-            #[cfg(feature = "telemetry")]
             let mut step_merge = Duration::ZERO;
 
             // Removal: infected hosts get patched/cleaned and turn
@@ -496,37 +479,29 @@ impl Engine {
             // bookkeeping: serial merge in fixed shard order.
             newly_infected.clear();
             for (shard, batch) in pipeline.batches_mut()[..shard_count].iter_mut().enumerate() {
-                #[cfg(feature = "telemetry")]
-                #[allow(clippy::disallowed_methods)]
-                // telemetry-gated: legal clock site
-                let t_batch = Instant::now();
+                let t_batch = Timer::start();
                 // Shard 0 was observed as it ran; worker shards come
                 // back buffered.
-                #[cfg(feature = "telemetry")]
                 let streamed = batch.observe;
                 if shard > 0 {
                     batch.hand_to_observer(time, observer, &mut ledger);
                 }
-                #[cfg(feature = "telemetry")]
                 let obs_dur = batch.observe - streamed;
-                #[cfg(feature = "telemetry")]
-                {
-                    tel_target += batch.target_gen;
-                    tel_route += batch.routing;
-                    tel_lookup += batch.lookup;
-                    tel_observe += batch.observe;
-                    if let Some(t) = trace.as_mut() {
-                        let (s, lane) = (shard as u32, shard as u32 + 1);
-                        t.leaf("target_gen", step_index, s, lane, batch.target_gen);
-                        t.leaf("routing", step_index, s, lane, batch.routing);
-                        t.leaf("lookup", step_index, s, lane, batch.lookup);
-                        t.leaf("observe", step_index, s, 0, batch.observe);
-                    }
-                    batch.target_gen = Duration::ZERO;
-                    batch.routing = Duration::ZERO;
-                    batch.lookup = Duration::ZERO;
-                    batch.observe = Duration::ZERO;
+                tel_target += batch.target_gen;
+                tel_route += batch.routing;
+                tel_lookup += batch.lookup;
+                tel_observe += batch.observe;
+                if let Some(t) = trace.as_mut() {
+                    let (s, lane) = (shard as u32, shard as u32 + 1);
+                    t.leaf("target_gen", step_index, s, lane, batch.target_gen);
+                    t.leaf("routing", step_index, s, lane, batch.routing);
+                    t.leaf("lookup", step_index, s, lane, batch.lookup);
+                    t.leaf("observe", step_index, s, 0, batch.observe);
                 }
+                batch.target_gen = Duration::ZERO;
+                batch.routing = Duration::ZERO;
+                batch.lookup = Duration::ZERO;
+                batch.observe = Duration::ZERO;
 
                 // Candidates carry start-of-step flag state; re-check
                 // against live flags so duplicates collapse exactly as
@@ -552,41 +527,32 @@ impl Engine {
                 // Everything in the batch body except the observer call
                 // is merge work: ledger fold, candidate re-check,
                 // latency draws, scratch resets.
-                #[cfg(feature = "telemetry")]
-                {
-                    step_merge += t_batch.elapsed().saturating_sub(obs_dur);
-                }
+                step_merge += t_batch.elapsed().saturating_sub(obs_dur);
             }
 
-            #[cfg(feature = "telemetry")]
-            #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-            let t_spawn = Instant::now();
+            let t_spawn = Timer::start();
             for &idx in &newly_infected {
                 active.push(self.spawn_host(idx));
             }
             if !newly_infected.is_empty() || activated || curve.is_empty() {
                 curve.push(time, ever_infected as f64 / n as f64);
             }
-            #[cfg(feature = "telemetry")]
-            {
-                // Host spawning and curve bookkeeping are part of the
-                // serial merge tail.
-                step_merge += t_spawn.elapsed();
-                tel_merge += step_merge;
-                let step = step_start.elapsed();
-                step_micros.record(step.as_micros() as u64);
-                peak_step = peak_step.max(step);
-                if let Some(t) = trace.as_mut() {
-                    t.leaf("merge", step_index, 0, 0, step_merge);
-                    if let Some(span) = step_span {
-                        t.close(span, step);
-                    }
+            // Host spawning and curve bookkeeping are part of the serial
+            // merge tail.
+            step_merge += t_spawn.elapsed();
+            tel_merge += step_merge;
+            let step = step_start.elapsed();
+            step_micros.record(step.as_micros() as u64);
+            peak_step = peak_step.max(step);
+            if let Some(t) = trace.as_mut() {
+                t.leaf("merge", step_index, 0, 0, step_merge);
+                if let Some(span) = step_span {
+                    t.close(span, step);
                 }
-                step_index += 1;
             }
+            step_index += 1;
         }
         curve.push(time, ever_infected as f64 / n as f64);
-        #[cfg(feature = "telemetry")]
         if let Some(t) = trace.as_mut() {
             if let Some(span) = run_span {
                 t.close(span, run_start.elapsed());
@@ -602,7 +568,6 @@ impl Engine {
             ledger,
             infection_times,
             elapsed: time,
-            #[cfg(feature = "telemetry")]
             telemetry: {
                 let mut phases = PhaseTimes::new();
                 phases.record("target_gen", tel_target);
@@ -1066,9 +1031,8 @@ mod tests {
         assert!(result.ledger.dropped(DropReason::PacketLoss) > 0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
-    fn telemetry_feature_collects_phase_times() {
+    fn every_run_collects_phase_times() {
         let mut engine = Engine::new(
             hitlist_config(),
             dense_population(200),
@@ -1089,7 +1053,6 @@ mod tests {
         assert!(tel.trace.is_none(), "no trace unless SimConfig::trace");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_spans_are_balanced_and_deterministic() {
         let run_once = || {
@@ -1134,7 +1097,6 @@ mod tests {
         assert_eq!(shape(ta), shape(tb));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_attributes_shards_in_parallel_runs() {
         let mut engine = Engine::new(
@@ -1304,9 +1266,8 @@ mod tests {
         }
     }
 
-    /// `threads = 2` really shards in a default build: the run reports
-    /// the pool-only phases.
-    #[cfg(feature = "telemetry")]
+    /// `threads = 2` really shards: the run reports the pool-only
+    /// phases.
     #[test]
     fn two_threads_run_on_the_pool() {
         let mut engine = Engine::new(

@@ -27,14 +27,12 @@
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
-#[cfg(feature = "telemetry")]
 use std::time::Duration;
-#[cfg(feature = "telemetry")]
-use std::time::Instant;
 
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::{Delivery, DeliveryLedger, Environment, Locus, Service};
 use hotspots_targeting::TargetGenerator;
+use hotspots_telemetry::Timer;
 use rand::rngs::StdRng;
 
 use crate::bitset::HostBits;
@@ -63,7 +61,7 @@ pub(crate) struct InfectedHost {
 /// and runs it through the stages ([`next_chunk`]). It bounds the
 /// staging buffers (a host whose burst alone exceeds it forms its own
 /// chunk), the driving thread's probe buffer (each of its chunks goes
-/// to the observer as soon as it exists), and the telemetry clock
+/// to the observer as soon as it exists), and the phase clock
 /// granularity: four reads per chunk, not per host.
 pub(crate) const CHUNK_TARGETS: usize = 1024;
 
@@ -81,14 +79,10 @@ pub(crate) struct ProbeBatch {
     pub(crate) candidates: Vec<usize>,
     /// Verdict counts for exactly the probes in `probes`.
     pub(crate) ledger: DeliveryLedger,
-    #[cfg(feature = "telemetry")]
     pub(crate) target_gen: Duration,
-    #[cfg(feature = "telemetry")]
     pub(crate) routing: Duration,
-    #[cfg(feature = "telemetry")]
     pub(crate) lookup: Duration,
     /// Observer time spent on this shard's probes in the current step.
-    #[cfg(feature = "telemetry")]
     pub(crate) observe: Duration,
 }
 
@@ -103,13 +97,9 @@ impl ProbeBatch {
             probes: Vec::with_capacity(capacity),
             candidates: Vec::with_capacity(capacity),
             ledger: DeliveryLedger::new(),
-            #[cfg(feature = "telemetry")]
             target_gen: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             routing: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             lookup: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             observe: Duration::ZERO,
         }
     }
@@ -122,14 +112,9 @@ impl ProbeBatch {
         observer: &mut O,
         ledger: &mut DeliveryLedger,
     ) {
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let t0 = Instant::now();
+        let t0 = Timer::start();
         observer.on_probe_batch(time, &self.probes, &self.ledger);
-        #[cfg(feature = "telemetry")]
-        {
-            self.observe += t0.elapsed();
-        }
+        self.observe += t0.elapsed();
         ledger.merge(&self.ledger);
         self.ledger = DeliveryLedger::new();
         self.probes.clear();
@@ -237,18 +222,14 @@ fn drive_observed<O: SimObserver>(
 /// Runs one chunk (`hosts`, with their bursts in `batch.bursts`) through
 /// the three stages, appending its probes and candidates to `batch`.
 fn drive_chunk(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch) {
-    #[cfg(feature = "telemetry")]
-    #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-    let t0 = Instant::now();
+    let mut clock = Timer::start();
     batch.targets.clear();
     for (host, &burst) in hosts.iter_mut().zip(&batch.bursts) {
         if burst > 0 {
             host.generator.fill_targets(burst, &mut batch.targets);
         }
     }
-    #[cfg(feature = "telemetry")]
-    #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-    let t1 = Instant::now();
+    batch.target_gen += clock.lap();
     batch.deliveries.clear();
     let mut from = 0;
     for (host, &burst) in hosts.iter_mut().zip(&batch.bursts) {
@@ -265,9 +246,7 @@ fn drive_chunk(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch
             from += burst;
         }
     }
-    #[cfg(feature = "telemetry")]
-    #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-    let t2 = Instant::now();
+    batch.routing += clock.lap();
     // Two passes over the verdicts: candidate detection (branchy,
     // but misses short-circuit at the /16 presence bitmap), then
     // one bulk append of the probe records per host — a TrustedLen
@@ -295,12 +274,7 @@ fn drive_chunk(ctx: &StepCtx, hosts: &mut [InfectedHost], batch: &mut ProbeBatch
         );
         from += burst;
     }
-    #[cfg(feature = "telemetry")]
-    {
-        batch.target_gen += t1 - t0;
-        batch.routing += t2 - t1;
-        batch.lookup += t2.elapsed();
-    }
+    batch.lookup += clock.lap();
 }
 
 /// One shard's payload, shipped to a pool worker by ownership transfer.
@@ -312,8 +286,7 @@ struct ShardJob {
     chunk_targets: usize,
     /// When the driving thread dispatched the job (wake-latency
     /// accounting).
-    #[cfg(feature = "telemetry")]
-    sent_at: Instant,
+    sent_at: Timer,
 }
 
 /// A finished shard, returned to the driving thread with its payload so
@@ -327,10 +300,8 @@ struct ShardDone {
     panic: Option<Box<dyn std::any::Any + Send>>,
     /// How long the worker sat parked on its job channel before this
     /// job arrived.
-    #[cfg(feature = "telemetry")]
     park: Duration,
     /// Dispatch-to-pickup latency for this job.
-    #[cfg(feature = "telemetry")]
     wake: Duration,
 }
 
@@ -341,20 +312,13 @@ struct ShardDone {
 /// barrier.
 fn worker_loop(jobs: Receiver<ShardJob>, done: SyncSender<ShardDone>) {
     loop {
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let wait_start = Instant::now();
+        let mut clock = Timer::start();
         let Ok(job) = jobs.recv() else {
             break;
         };
-        #[cfg(feature = "telemetry")]
-        #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-        let picked_up = Instant::now();
-        #[cfg(feature = "telemetry")]
-        let (park, wake) = (
-            picked_up.saturating_duration_since(wait_start),
-            picked_up.saturating_duration_since(job.sent_at),
-        );
+        // One read at pickup ends the park lap and dates the wake.
+        let park = clock.lap();
+        let wake = clock.since(&job.sent_at);
         let ShardJob {
             shard,
             mut hosts,
@@ -377,9 +341,7 @@ fn worker_loop(jobs: Receiver<ShardJob>, done: SyncSender<ShardDone>) {
                 hosts,
                 batch,
                 panic,
-                #[cfg(feature = "telemetry")]
                 park,
-                #[cfg(feature = "telemetry")]
                 wake,
             })
             .is_err()
@@ -495,14 +457,11 @@ pub(crate) struct StepPipeline {
     carriers: Vec<Vec<InfectedHost>>,
     slots: Vec<Option<(Vec<InfectedHost>, ProbeBatch)>>,
     /// Cumulative worker park time (blocked on the job channel).
-    #[cfg(feature = "telemetry")]
     park: Duration,
     /// Cumulative dispatch-to-pickup latency.
-    #[cfg(feature = "telemetry")]
     wake: Duration,
     /// Jobs actually shipped to pool workers (0 = the run was
     /// effectively serial and no park/wake phases are reported).
-    #[cfg(feature = "telemetry")]
     dispatched: u64,
 }
 
@@ -518,11 +477,8 @@ impl StepPipeline {
             chunk_targets,
             carriers: (0..shards).map(|_| Vec::new()).collect(),
             slots: (0..shards).map(|_| None).collect(),
-            #[cfg(feature = "telemetry")]
             park: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             wake: Duration::ZERO,
-            #[cfg(feature = "telemetry")]
             dispatched: 0,
         }
     }
@@ -533,7 +489,6 @@ impl StepPipeline {
     }
 
     /// Total (park, wake) pool time, if any shard ran on a pool worker.
-    #[cfg(feature = "telemetry")]
     pub(crate) fn pool_phases(&self) -> Option<(Duration, Duration)> {
         (self.dispatched > 0).then_some((self.park, self.wake))
     }
@@ -604,16 +559,13 @@ impl StepPipeline {
             let mut hosts = std::mem::take(&mut self.carriers[shard]);
             hosts.extend(active.drain(shard * chunk..));
             let batch = std::mem::replace(&mut self.batches[shard], ProbeBatch::with_capacity(0));
-            #[cfg(feature = "telemetry")]
-            #[allow(clippy::disallowed_methods)] // telemetry-gated: legal clock site
-            let sent_at = Instant::now();
+            let sent_at = Timer::start();
             let job = ShardJob {
                 shard,
                 hosts,
                 batch,
                 ctx: ctx.clone(),
                 chunk_targets: self.chunk_targets,
-                #[cfg(feature = "telemetry")]
                 sent_at,
             };
             // Deterministic shard→worker assignment (`used - 1 <=
@@ -653,12 +605,9 @@ impl StepPipeline {
                     if let Some(payload) = done.panic {
                         std::panic::resume_unwind(payload);
                     }
-                    #[cfg(feature = "telemetry")]
-                    {
-                        self.park += done.park;
-                        self.wake += done.wake;
-                        self.dispatched += 1;
-                    }
+                    self.park += done.park;
+                    self.wake += done.wake;
+                    self.dispatched += 1;
                     self.slots[done.shard] = Some((done.hosts, done.batch));
                 }
                 // Unreachable: workers hold their done senders for the

@@ -14,8 +14,8 @@ pub struct ScalingPoint {
     /// Throughput relative to the curve's serial point.
     pub speedup: f64,
     /// Wall seconds per engine phase (`target_gen`, `routing`,
-    /// `lookup`, `observe`, `merge`), in engine phase order. Empty
-    /// when the measuring build had no `telemetry` feature.
+    /// `lookup`, `observe`, `merge`, plus `park`/`wake` when shards ran
+    /// on pool workers), in engine phase order.
     pub phase_breakdown: Vec<(String, f64)>,
 }
 

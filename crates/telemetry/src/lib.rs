@@ -10,8 +10,9 @@
 //! * **Zero cost when off.** [`NullSink`] is a unit struct whose
 //!   `emit` is an empty inline function; an observer parameterized
 //!   over it compiles to plain counter increments. The engine's phase
-//!   timing lives behind the `telemetry` cargo feature of
-//!   `hotspots-sim` and does not exist in the default build.
+//!   timing reads the clock through [`Timer`] a fixed few times per
+//!   chunk of probes, never per probe, and its readings feed reports
+//!   only.
 //! * **Aggregate per probe, event per transition.** Per-probe work is
 //!   counter arithmetic only; [`Sink`] events fire on state changes
 //!   (infections, run summaries), which are bounded by the population,

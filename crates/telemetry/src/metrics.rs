@@ -174,6 +174,21 @@ impl Timer {
         self.started.elapsed()
     }
 
+    /// Ends the current lap with one clock read: returns the time since
+    /// the previous lap (or the start) and starts the next lap there.
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let lap = now.saturating_duration_since(self.started);
+        self.started = now;
+        lap
+    }
+
+    /// How long before this timer's current lap `earlier`'s began (zero
+    /// if it began later). Reads no clock.
+    pub fn since(&self, earlier: &Timer) -> Duration {
+        self.started.saturating_duration_since(earlier.started)
+    }
+
     /// Ends the span, folding its duration into `phases` under `name`.
     pub fn stop(self, phases: &mut PhaseTimes, name: &'static str) -> Duration {
         let elapsed = self.elapsed();
@@ -311,5 +326,17 @@ mod tests {
         let d = t.stop(&mut phases, "work");
         assert_eq!(phases.total("work"), d);
         assert_eq!(phases.spans("work"), 1);
+    }
+
+    #[test]
+    fn laps_partition_the_span() {
+        let start = Timer::start();
+        let mut clock = start;
+        let first = clock.lap();
+        std::hint::black_box((0..1000u64).sum::<u64>());
+        let second = clock.lap();
+        assert_eq!(clock.since(&start), first + second);
+        assert_eq!(start.since(&clock), Duration::ZERO);
+        assert!(start.elapsed() >= first + second);
     }
 }

@@ -1,12 +1,14 @@
 //! Cross-crate telemetry integration: observer composition ordering,
-//! `TelemetryObserver` accounting against the engine's own ledger, and
-//! the JSONL event path end to end.
+//! `TelemetryObserver` accounting against the engine's own ledger, the
+//! JSONL event path end to end, and the engine's phase timing and span
+//! trace through the scenario runner.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use hotspots_ipspace::Ip;
 use hotspots_netmodel::{Delivery, Environment, Locus, LossModel};
+use hotspots_scenario::{find_preset, run_spec, Outcome, RunContext, Scale};
 use hotspots_sim::{apply_nat, Engine, Population, SimConfig, SimObserver, TelemetryObserver};
 use hotspots_telemetry::{json, JsonlSink, ReportBuilder};
 use rand::rngs::StdRng;
@@ -138,6 +140,37 @@ fn telemetry_observer_matches_engine_verdicts_exactly() {
     let report = builder.build();
     assert_eq!(report.accounting_error(), None);
     assert_eq!(report.probes_sent, result.probes_sent);
+}
+
+/// Every engine run times its phases, and a traced one records balanced
+/// spans: the report and the trace carry all five pipeline phases.
+#[test]
+fn engine_runs_report_phases_and_balanced_traces() {
+    let spec = find_preset("bench-hitlist")
+        .expect("registered preset")
+        .spec(Scale::Quick);
+    let run = run_spec(&spec, &RunContext::new("telemetry").with_trace()).expect("spec runs");
+    let Outcome::Engine { result, .. } = &run.outcome else {
+        panic!("bench-hitlist runs on the engine path");
+    };
+    let trace = result.telemetry.trace.as_ref().expect("trace requested");
+    assert!(trace.is_balanced(), "open/close spans must balance");
+    let phases = ["target_gen", "routing", "lookup", "observe", "merge"];
+    for phase in phases {
+        assert!(
+            trace.spans().iter().any(|s| s.name == phase),
+            "trace lacks {phase}"
+        );
+    }
+    let report = run.report.build();
+    assert!(report.peak_step_seconds.is_some());
+    for phase in phases {
+        assert!(
+            report.phases.iter().any(|(name, _)| name == phase),
+            "report lacks {phase}: {:?}",
+            report.phases
+        );
+    }
 }
 
 #[test]
